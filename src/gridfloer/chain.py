@@ -23,6 +23,14 @@ empty rectangle avoiding all X markings, the multiplicity U_c^{O_c(r)} of
 each O marking swept; setting every U_c = 0 leaves only rectangles avoiding
 the O markings as well, which is the complex whose homology the rest of the
 package consumes.
+
+Both differentials come from one kernel, ``_empty_rectangle_sweep``: one
+eastward sweep per left column, O(n^2) per generator, yielding every empty
+rectangle that avoids the X markings together with whether it also avoids
+the O markings.  The full differential keeps all of them and records the O
+markings swept; the collapsed one keeps only the O-free ones, as packed
+codes.  ``rectangles_from`` builds each rectangle separately, cell by cell,
+and serves as the public API and as the independent check on the kernel.
 """
 
 from __future__ import annotations
@@ -34,6 +42,7 @@ from fractions import Fraction
 from math import factorial
 from typing import Iterator
 
+from .errors import GridTooLarge
 from .grid import GridDiagram
 
 __all__ = [
@@ -69,7 +78,7 @@ def _encode(perm: Generator) -> int:
 
 def _decode(code: int, n: int) -> Generator:
     mask = (1 << PACK_BITS) - 1
-    return tuple((code >> (PACK_BITS * c)) & mask for c in range(n))
+    return tuple([(code >> s) & mask for s in range(0, PACK_BITS * n, PACK_BITS)])
 
 
 def generators(G: GridDiagram) -> Iterator[Generator]:
@@ -277,42 +286,74 @@ class MinusTerm:
     exponents: tuple[int, ...]
 
 
+def _empty_rectangle_sweep(
+    perm: Generator,
+    o_rows: tuple[int, ...],
+    x_rows: tuple[int, ...],
+    n: int,
+) -> Iterator[tuple[int, int, bool]]:
+    """(c1, c2, o_free) for every empty, X-free rectangle with source perm.
+
+    One eastward sweep per left column c1, O(n^2) per generator.  With
+    r1 = perm[c1], three running minima of row offsets (row - r1) % n are
+    kept: ``block`` over the generator points of the columns passed so far,
+    ``xm`` and ``om`` over the X and O markings of columns c1..c2-1.  The
+    rectangle to c2, of height h = (perm[c2] - r1) % n, is empty iff
+    h < block, avoids every X iff h <= xm and every O iff h <= om.  A point
+    at h == 1 blocks every wider rectangle, and an X at offset 0 lies in
+    all of them, so either ends the sweep for c1.
+    """
+    wrap = tuple(range(n)) * 2
+    for c1 in range(n):
+        r1 = perm[c1]
+        block = xm = om = n
+        c = c1
+        for c2 in wrap[c1 + 1 : c1 + n]:
+            x = (x_rows[c] - r1) % n
+            if x < xm:
+                if x == 0:
+                    break
+                xm = x
+            o = (o_rows[c] - r1) % n
+            if o < om:
+                om = o
+            h = (perm[c2] - r1) % n
+            if h < block:
+                if h <= xm:
+                    yield c1, c2, h <= om
+                if h == 1:
+                    break
+                block = h
+            c = c2
+
+
 def _minus_terms_from(
     perm: Generator,
     o_rows: tuple[int, ...],
     x_rows: tuple[int, ...],
     n: int,
 ) -> list[tuple[Generator, tuple[int, ...]]]:
+    """(target, exponents) of every empty, X-free rectangle from perm.
+
+    Exponents are computed only for rectangles that sweep an O marking.
+    Targets are plain tuples, so any n works.
+    """
+    zero = (0,) * n
     out = []
-    for c1 in range(n):
-        r1 = perm[c1]
-        for c2 in range(n):
-            if c1 == c2:
-                continue
-            r2 = perm[c2]
-            h = (r2 - r1) % n
-            w = (c2 - c1) % n
-            ok = True
-            for k in range(1, w):
-                c = (c1 + k) % n
-                if 0 < (perm[c] - r1) % n < h:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            exps = [0] * n
-            for k in range(w):
-                c = (c1 + k) % n
-                if (x_rows[c] - r1) % n < h:
-                    ok = False
-                    break
-                if (o_rows[c] - r1) % n < h:
-                    exps[c] = 1
-            if not ok:
-                continue
-            y = list(perm)
-            y[c1], y[c2] = r2, r1
-            out.append((tuple(y), tuple(exps)))
+    for c1, c2, o_free in _empty_rectangle_sweep(perm, o_rows, x_rows, n):
+        r1, r2 = perm[c1], perm[c2]
+        y = list(perm)
+        y[c1], y[c2] = r2, r1
+        if o_free:
+            out.append((tuple(y), zero))
+            continue
+        h = (r2 - r1) % n
+        exps = [0] * n
+        for k in range((c2 - c1) % n):
+            c = (c1 + k) % n
+            if (o_rows[c] - r1) % n < h:
+                exps[c] = 1
+        out.append((tuple(y), tuple(exps)))
     return out
 
 
@@ -340,45 +381,14 @@ def _tilde_target_codes(
 ) -> list[int]:
     """Packed codes of the marking-free empty-rectangle targets from perm.
 
-    Hot path: target codes are derived from the source code by swapping two
-    nibbles, avoiding tuple construction per term.
+    Keeps the O-free rectangles of the sweep; each target code is derived
+    from the source code by swapping two nibbles, with no tuple per term.
     """
     out = []
-    for c1 in range(n):
-        r1 = perm[c1]
-        sub1 = r1 << (PACK_BITS * c1)
-        for c2 in range(n):
-            if c1 == c2:
-                continue
-            r2 = perm[c2]
-            h = (r2 - r1) % n
-            w = (c2 - c1) % n
-            ok = True
-            for k in range(1, w):
-                c = c1 + k
-                if c >= n:
-                    c -= n
-                if 0 < (perm[c] - r1) % n < h:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            for k in range(w):
-                c = c1 + k
-                if c >= n:
-                    c -= n
-                if (o_rows[c] - r1) % n < h or (x_rows[c] - r1) % n < h:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            out.append(
-                code
-                - sub1
-                - (r2 << (PACK_BITS * c2))
-                + (r2 << (PACK_BITS * c1))
-                + (r1 << (PACK_BITS * c2))
-            )
+    for c1, c2, o_free in _empty_rectangle_sweep(perm, o_rows, x_rows, n):
+        if o_free:
+            d = perm[c2] - perm[c1]
+            out.append(code + (d << (PACK_BITS * c1)) - (d << (PACK_BITS * c2)))
     return out
 
 
@@ -424,10 +434,11 @@ def iter_alexander_levels(G: GridDiagram) -> Iterator[tuple[int, dict[int, array
     Levels come in increasing Alexander order; within a level, codes are in
     lexicographic generator order.  Small grids are bucketed in one pass; for
     n > 9 each level is re-enumerated separately so that at most one level of
-    generators is held at a time.
+    generators is held at a time.  Codes pack 4 bits per column, so grids
+    above 16 columns raise GridTooLarge.
     """
     if G.n > MAX_PACKED_N:
-        raise ValueError(f"grid size {G.n} exceeds the packing limit {MAX_PACKED_N}")
+        raise GridTooLarge(f"grid size {G.n} exceeds the packing limit {MAX_PACKED_N}")
     n, o, xs = G.n, G.o_rows, G.x_rows
     const_m, const_a = _pair_constants(G)
     if G.n <= SINGLE_PASS_LIMIT:

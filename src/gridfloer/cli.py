@@ -309,6 +309,9 @@ def run(argv: list[str] | None = None) -> int:
     if args.jobs < 1:
         sys.stderr.write("error: --jobs must be at least 1\n")
         return 1
+    if args.max_n < 2:
+        sys.stderr.write("error: --max-n must be at least 2\n")
+        return 1
 
     if args.verb == "random":
         try:

@@ -14,6 +14,7 @@ each V contributing one generator in bidegree (0, 0) and one in (-1, -1).
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
@@ -186,28 +187,50 @@ class TildeComplex:
     blocks: tuple[BoundaryBlock, ...]
 
 
+def _boundary_rows(G: GridDiagram, levels: Mapping[int, array], row_of):
+    """The collapsed boundary blocks of one Alexander level, one Maslov level at a time.
+
+    Yields (m, rows) for each Maslov level m in increasing order, with
+    rows[j] = row_of(target codes of source j, index of the codes at m - 1).
+    ``row_of`` does the mod-2 accumulation, so each caller keeps its own
+    row form.
+    """
+    n, o, xs = G.n, G.o_rows, G.x_rows
+    index = {m: {code: i for i, code in enumerate(arr)} for m, arr in levels.items()}
+    for m in sorted(levels):
+        lower = index.get(m - 1, {})
+        yield m, [
+            row_of(_tilde_target_codes(_decode(code, n), code, o, xs, n), lower)
+            for code in levels[m]
+        ]
+
+
+def _index_set(targets: list[int], lower: dict[int, int]) -> set[int]:
+    hits: set[int] = set()
+    for t in targets:
+        hits ^= {lower[t]}
+    return hits
+
+
+def _index_mask(targets: list[int], lower: dict[int, int]) -> int:
+    mask = 0
+    for t in targets:
+        mask ^= 1 << lower[t]
+    return mask
+
+
 def tilde_differential(G: GridDiagram) -> TildeComplex:
     """Assemble the collapsed complex as explicit per-bigrading sparse matrices."""
-    n, o, xs = G.n, G.o_rows, G.x_rows
     bases: dict[tuple[int, Fraction], tuple[Generator, ...]] = {}
     blocks: list[BoundaryBlock] = []
     for two_a, levels in iter_alexander_levels(G):
         s = Fraction(two_a, 2)
-        index = {m: {code: i for i, code in enumerate(arr)} for m, arr in levels.items()}
         for m in sorted(levels):
-            bases[(m, s)] = tuple(_decode(code, n) for code in levels[m])
-        for m in sorted(levels):
-            lower = index.get(m - 1, {})
-            entries: list[tuple[int, int]] = []
-            for j, code in enumerate(levels[m]):
-                perm = _decode(code, n)
-                hits: set[int] = set()
-                for t in _tilde_target_codes(perm, code, o, xs, n):
-                    hits ^= {t}
-                entries.extend((lower[t], j) for t in hits)
-            blocks.append(
-                BoundaryBlock(m, s, len(lower), len(levels[m]), tuple(sorted(entries)))
-            )
+            bases[(m, s)] = tuple(_decode(code, G.n) for code in levels[m])
+        for m, rows in _boundary_rows(G, levels, _index_set):
+            entries = sorted((i, j) for j, hits in enumerate(rows) for i in hits)
+            n_rows = len(levels.get(m - 1, ()))
+            blocks.append(BoundaryBlock(m, s, n_rows, len(rows), tuple(entries)))
     return TildeComplex(G, bases, tuple(blocks))
 
 
@@ -240,21 +263,9 @@ def homology_ranks(G: GridDiagram) -> BigradedRanks:
     are indexed in lexicographic order, boundary rows are built as int
     bitsets, and only ranks survive the level.
     """
-    n, o, xs = G.n, G.o_rows, G.x_rows
     ranks: dict[tuple[int, Fraction], int] = {}
     for two_a, levels in iter_alexander_levels(G):
-        index = {m: {code: i for i, code in enumerate(arr)} for m, arr in levels.items()}
-        boundary_rank: dict[int, int] = {}
-        for m, arr in levels.items():
-            lower = index.get(m - 1, {})
-            rows = []
-            for code in arr:
-                perm = _decode(code, n)
-                mask = 0
-                for t in _tilde_target_codes(perm, code, o, xs, n):
-                    mask ^= 1 << lower[t]
-                rows.append(mask)
-            boundary_rank[m] = gf2_rank(rows)
+        boundary_rank = {m: gf2_rank(rows) for m, rows in _boundary_rows(G, levels, _index_mask)}
         s = Fraction(two_a, 2)
         for m, arr in levels.items():
             h = len(arr) - boundary_rank.get(m, 0) - boundary_rank.get(m + 1, 0)

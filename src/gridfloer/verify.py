@@ -77,16 +77,25 @@ def _check_minus_d_squared(G: GridDiagram) -> CheckResult:
 
 
 def _check_tilde_matches_minus(G: GridDiagram) -> CheckResult:
-    """Setting every U to zero must keep exactly the exponent-free terms."""
+    """Both differentials keep exactly the rectangles built one by one.
+
+    The full differential has one term per empty rectangle avoiding every X,
+    weighted by the O markings it sweeps; setting every U to zero keeps the
+    terms that sweep no O.  ``rectangles_from`` builds each rectangle
+    separately, so it checks the sweep kernel both differentials share.
+    """
     n, o, xs = G.n, G.o_rows, G.x_rows
     sources, scope = _sources(G)
     checked = 0
     for x in sources:
-        want = sorted(
-            _encode(y) for y, exps in _minus_terms_from(x, o, xs, n) if not any(exps)
-        )
+        minus = [
+            (r.target, r.o_count)
+            for r in rectangles_from(G, x)
+            if r.empty and r.x_total == 0
+        ]
+        want = sorted(_encode(y) for y, exps in minus if not any(exps))
         got = sorted(_tilde_target_codes(x, _encode(x), o, xs, n))
-        if want != got:
+        if sorted(minus) != sorted(_minus_terms_from(x, o, xs, n)) or want != got:
             return CheckResult(
                 "tilde_matches_minus", False, f"term mismatch at source {x}"
             )

@@ -21,15 +21,18 @@ from gridfloer import (
     rectangles_from,
     tilde_targets,
 )
+from gridfloer.chain import MAX_PACKED_N, _empty_rectangle_sweep, _minus_terms_from
 
 from .helpers import (
     FIG8_6,
+    TORUS25_7,
     TREFOIL5,
     TWIST7,
     UNKNOT2,
     all_grids,
     oracle_bigrading,
     oracle_empty_rectangles,
+    random_knot_grid,
     rect_key,
 )
 
@@ -200,3 +203,101 @@ def test_tilde_targets_match_rectangle_enumeration():
                     parity[r.target] += 1
             want = sorted(t for t, k in parity.items() if k % 2)
             assert tilde_targets(G, x) == want
+
+
+# -- the sweep kernel against rectangles built one by one ---------------------
+
+
+def _odd_targets(targets) -> list:
+    parity = Counter(targets)
+    return sorted(t for t, k in parity.items() if k % 2)
+
+
+def _terms_by_rectangles(G, x):
+    """(kernel triples, minus terms as a multiset, tilde targets) via rectangles_from."""
+    kept = [r for r in rectangles_from(G, x) if r.empty and r.x_total == 0]
+    sweep = {(r.c1, r.c2, r.o_total == 0) for r in kept}
+    minus = Counter((r.target, r.o_count) for r in kept)
+    tilde = _odd_targets(r.target for r in kept if r.o_total == 0)
+    return sweep, minus, tilde
+
+
+def _terms_by_corners(G, x):
+    """(minus terms as a multiset, tilde targets) via the n^4 corner oracle."""
+    minus: Counter = Counter()
+    for c1, c2 in itertools.combinations(range(G.n), 2):
+        y = list(x)
+        y[c1], y[c2] = y[c2], y[c1]
+        for *_, o_vec, x_vec in oracle_empty_rectangles(G, x, tuple(y)):
+            if not any(x_vec):
+                minus[(tuple(y), o_vec)] += 1
+    tilde = sorted(y for (y, o_vec), k in minus.items() if k % 2 and not any(o_vec))
+    return minus, tilde
+
+
+def _assert_kernel_matches(G, x, corners: bool = False) -> None:
+    sweep, minus, tilde = _terms_by_rectangles(G, x)
+    got = list(_empty_rectangle_sweep(x, G.o_rows, G.x_rows, G.n))
+    assert len(got) == len(set(got)) and set(got) == sweep, (G, x)
+    assert Counter(_minus_terms_from(x, G.o_rows, G.x_rows, G.n)) == minus, (G, x)
+    if G.n <= MAX_PACKED_N:
+        assert tilde_targets(G, x) == tilde, (G, x)
+    if corners:
+        assert _terms_by_corners(G, x) == (minus, tilde), (G, x)
+
+
+def test_kernel_matches_both_oracles_on_every_grid_of_size_3():
+    for G in all_grids(3):
+        for x in itertools.permutations(range(3)):
+            _assert_kernel_matches(G, x, corners=True)
+
+
+def test_kernel_matches_rectangles_on_every_generator_of_random_grids():
+    rng = random.Random(27)
+    for n in range(2, 7):
+        for _ in range(2):
+            G = random_grid(n, rng)
+            for x in itertools.permutations(range(n)):
+                _assert_kernel_matches(G, x, corners=n <= 4)
+
+
+def test_kernel_matches_rectangles_on_sampled_n7_generators():
+    rng = random.Random(28)
+    for G in (TWIST7, TORUS25_7, random_knot_grid(7, rng)):
+        for k in range(120):
+            _assert_kernel_matches(G, tuple(rng.sample(range(7), 7)), corners=k < 4)
+
+
+def test_minus_terms_have_no_packing_limit():
+    rng = random.Random(29)
+    G = random_grid(17, rng)
+    sources = [tuple(range(17)), tuple(range(16, -1, -1))]
+    sources += [tuple(rng.sample(range(17), 17)) for _ in range(6)]
+    for x in sources:
+        _assert_kernel_matches(G, x)
+    assert any(_minus_terms_from(x, G.o_rows, G.x_rows, 17) for x in sources)
+
+
+def test_kernel_sweeps_wrap_around_the_torus():
+    x = (0, 2, 3, 4, 1)
+    got = set(_empty_rectangle_sweep(x, TREFOIL5.o_rows, TREFOIL5.x_rows, 5))
+    # Columns 4 -> 1 wrap east past column 0; rows 4 -> 1 wrap north past row 0.
+    assert got == {(1, 2, True), (2, 3, True), (3, 4, False), (4, 1, False)}
+    _assert_kernel_matches(TREFOIL5, x, corners=True)
+
+
+def test_x_marking_on_the_left_corner_row_ends_the_sweep():
+    # Every X of this trefoil sits in the cell just northeast of the identity
+    # generator's point in its column, so each sweep stops at once.
+    x = (0, 1, 2, 3, 4)
+    assert list(_empty_rectangle_sweep(x, TREFOIL5.o_rows, TREFOIL5.x_rows, 5)) == []
+    _assert_kernel_matches(TREFOIL5, x, corners=True)
+
+
+def test_point_one_row_up_ends_the_sweep():
+    # Each column's neighbour to the east sits one row higher, so every sweep
+    # stops after its first column pair.
+    x = tuple(range(7))
+    got = list(_empty_rectangle_sweep(x, TWIST7.o_rows, TWIST7.x_rows, 7))
+    assert [(c1, c2) for c1, c2, _ in got] == [(c, (c + 1) % 7) for c in range(7)]
+    _assert_kernel_matches(TWIST7, x, corners=True)

@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import json
+import random
 import subprocess
 import sys
 from pathlib import Path
 
-from gridfloer import homology_ranks, parse_grid, serialize_grid
+from gridfloer import homology_ranks, parse_grid, random_grid, serialize_grid
 
 from .helpers import HOPF4, TREFOIL5, UNKNOT2
 
@@ -100,6 +101,27 @@ def test_max_n_guard_names_the_growth():
     assert "error: GridTooLarge:" in done.stdout
     assert "5040" in done.stdout
     assert "--max-n 7" in done.stdout
+
+
+def test_packing_limit_is_reported_in_stream():
+    big = serialize_grid(random_grid(17, random.Random(17)))
+    batch = serialize_grid(TREFOIL5) + "\n\n" + big
+    done = run_cli("homology", "--max-n", "20", "-", stdin=batch)
+    assert done.returncode == 1
+    assert "Traceback" not in done.stderr
+    blocks = done.stdout.strip().split("\n\n")
+    assert len(blocks) == 2
+    assert blocks[0].startswith("n: 5\ntotal rank: 48\n")
+    assert blocks[1].startswith("error: GridTooLarge:")
+    assert "packing limit 16" in blocks[1]
+
+
+def test_max_n_below_two_exits_one():
+    for value in ("1", "0", "-3"):
+        done = run_cli("homology", "--max-n", value, str(GRIDS_DIR / "trefoil5.grid"))
+        assert done.returncode == 1
+        assert done.stdout == ""
+        assert "--max-n must be at least 2" in done.stderr
 
 
 def test_max_n_does_not_gate_cheap_verbs():
