@@ -146,17 +146,12 @@ def _bigrading_raw(
 
 def maslov(G: GridDiagram, x: Generator) -> int:
     """Maslov (homological) grading of a generator."""
-    _check_generator(G, x)
-    const_m, const_a = _pair_constants(G)
-    return _bigrading_raw(tuple(x), G.o_rows, G.x_rows, G.n, const_m, const_a)[0]
+    return bigrading(G, x)[0]
 
 
 def alexander(G: GridDiagram, x: Generator) -> Fraction:
     """Alexander grading; an integer for knots, a half-integer in general."""
-    _check_generator(G, x)
-    const_m, const_a = _pair_constants(G)
-    two_a = _bigrading_raw(tuple(x), G.o_rows, G.x_rows, G.n, const_m, const_a)[1]
-    return Fraction(two_a, 2)
+    return bigrading(G, x)[1]
 
 
 def bigrading(G: GridDiagram, x: Generator) -> tuple[int, Fraction]:
@@ -409,54 +404,23 @@ def tilde_targets(G: GridDiagram, x: Generator) -> list[Generator]:
 
 # -- bucketed enumeration ----------------------------------------------------
 
-# Above this size, all-at-once bucket storage is replaced by re-enumerating
-# the generators once per Alexander level, trading time to bound memory by
-# the largest single level.
-SINGLE_PASS_LIMIT = 9
-
-
-def _bucket_single_pass(G: GridDiagram) -> dict[int, dict[int, array]]:
-    n, o, xs = G.n, G.o_rows, G.x_rows
-    const_m, const_a = _pair_constants(G)
-    buckets: dict[int, dict[int, array]] = {}
-    for perm in itertools.permutations(range(n)):
-        m, two_a = _bigrading_raw(perm, o, xs, n, const_m, const_a)
-        code = 0
-        for c in range(n):
-            code |= perm[c] << (PACK_BITS * c)
-        buckets.setdefault(two_a, {}).setdefault(m, array("Q")).append(code)
-    return buckets
-
 
 def iter_alexander_levels(G: GridDiagram) -> Iterator[tuple[int, dict[int, array]]]:
     """Yield (doubled Alexander grading, {Maslov: packed generator codes}).
 
     Levels come in increasing Alexander order; within a level, codes are in
-    lexicographic generator order.  Small grids are bucketed in one pass; for
-    n > 9 each level is re-enumerated separately so that at most one level of
-    generators is held at a time.  Codes pack 4 bits per column, so grids
-    above 16 columns raise GridTooLarge.
+    lexicographic generator order.  All n! generators are enumerated once
+    and bucketed at 8 bytes each, far less than what homology builds per
+    level from them.  Codes pack 4 bits per column, so grids above 16
+    columns raise GridTooLarge.
     """
     if G.n > MAX_PACKED_N:
         raise GridTooLarge(f"grid size {G.n} exceeds the packing limit {MAX_PACKED_N}")
     n, o, xs = G.n, G.o_rows, G.x_rows
     const_m, const_a = _pair_constants(G)
-    if G.n <= SINGLE_PASS_LIMIT:
-        buckets = _bucket_single_pass(G)
-        for two_a in sorted(buckets):
-            yield two_a, buckets[two_a]
-        return
-    seen: set[int] = set()
+    buckets: dict[int, dict[int, array]] = {}
     for perm in itertools.permutations(range(n)):
-        seen.add(_bigrading_raw(perm, o, xs, n, const_m, const_a)[1])
-    for two_a in sorted(seen):
-        levels: dict[int, array] = {}
-        for perm in itertools.permutations(range(n)):
-            m, got = _bigrading_raw(perm, o, xs, n, const_m, const_a)
-            if got != two_a:
-                continue
-            code = 0
-            for c in range(n):
-                code |= perm[c] << (PACK_BITS * c)
-            levels.setdefault(m, array("Q")).append(code)
-        yield two_a, levels
+        m, two_a = _bigrading_raw(perm, o, xs, n, const_m, const_a)
+        buckets.setdefault(two_a, {}).setdefault(m, array("Q")).append(_encode(perm))
+    for two_a in sorted(buckets):
+        yield two_a, buckets[two_a]

@@ -13,11 +13,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 from math import factorial
 from multiprocessing import Pool
 
+from .chain import MAX_PACKED_N
 from .errors import GridError, GridTooLarge, NotDivisible
 from .grid import GridDiagram, link_summary, parse_grids, random_grid, serialize_grid
 from .homology import BigradedRanks, homology_ranks
@@ -191,12 +193,16 @@ _HANDLERS = {
 def _process_entry(payload: tuple[str, GridDiagram, dict]) -> Entry:
     verb, G, opts = payload
     try:
-        if verb in EXPENSIVE_VERBS and G.n > opts["max_n"]:
-            raise GridTooLarge(
-                f"grid size {G.n} exceeds --max-n {opts['max_n']}"
-                f" (the complex has n! = {factorial(G.n)} generators);"
-                f" pass --max-n {G.n} to force"
-            )
+        if verb in EXPENSIVE_VERBS:
+            # Checked first: no --max-n can force a grid past the packing limit.
+            if G.n > MAX_PACKED_N:
+                raise GridTooLarge(f"grid size {G.n} exceeds the packing limit {MAX_PACKED_N}")
+            if G.n > opts["max_n"]:
+                raise GridTooLarge(
+                    f"grid size {G.n} exceeds --max-n {opts['max_n']}"
+                    f" (the complex has n! = {factorial(G.n)} generators);"
+                    f" pass --max-n {G.n} to force"
+                )
         return _HANDLERS[verb](G, opts)
     except NotDivisible as err:
         record = {"verb": verb, "error": str(err), "error_type": "NotDivisible"}
@@ -339,7 +345,7 @@ def run(argv: list[str] | None = None) -> int:
     payloads = [(args.verb, G, opts) for G in grids]
 
     if args.jobs > 1 and len(payloads) > 1:
-        with Pool(processes=min(args.jobs, len(payloads))) as pool:
+        with Pool(processes=min(args.jobs, len(payloads), os.cpu_count() or 1)) as pool:
             entries = pool.map(_process_entry, payloads)
     else:
         entries = [_process_entry(p) for p in payloads]

@@ -1,14 +1,17 @@
-"""End-to-end CLI behavior through real subprocesses."""
+"""End-to-end CLI behavior, mostly through real subprocesses."""
 
 from __future__ import annotations
 
 import json
+import os
 import random
 import subprocess
 import sys
 from pathlib import Path
 
-from gridfloer import homology_ranks, parse_grid, random_grid, serialize_grid
+import pytest
+
+from gridfloer import cli, homology_ranks, parse_grid, random_grid, serialize_grid
 
 from .helpers import HOPF4, TREFOIL5, UNKNOT2
 
@@ -114,6 +117,52 @@ def test_packing_limit_is_reported_in_stream():
     assert blocks[0].startswith("n: 5\ntotal rank: 48\n")
     assert blocks[1].startswith("error: GridTooLarge:")
     assert "packing limit 16" in blocks[1]
+
+
+def test_packing_limit_is_refused_before_any_work(monkeypatch):
+    def must_not_run(*args):
+        raise AssertionError("work started on a grid past the packing limit")
+
+    for verb in cli.EXPENSIVE_VERBS:
+        monkeypatch.setitem(cli._HANDLERS, verb, must_not_run)
+    G17 = random_grid(17, random.Random(17))
+    for verb in sorted(cli.EXPENSIVE_VERBS):
+        for max_n in (10, 17):
+            code, lines, record = cli._process_entry((verb, G17, {"max_n": max_n}))
+            assert code == 1
+            assert lines == ["error: GridTooLarge: grid size 17 exceeds the packing limit 16"]
+            assert record["error_type"] == "GridTooLarge"
+
+
+@pytest.mark.parametrize(
+    "jobs,cpus,want", [(5000, 2, 2), (3, 8, 3), (5000, 64, 7), (5000, None, 1)]
+)
+def test_jobs_pool_is_capped_at_cpu_count(monkeypatch, capsys, jobs, cpus, want):
+    sizes = []
+
+    class SequentialPool:
+        """Stands in for multiprocessing.Pool: records its size, starts nothing."""
+
+        def __init__(self, processes: int):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return [fn(item) for item in items]
+
+    monkeypatch.setattr(cli, "Pool", SequentialPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    corpus = str(GRIDS_DIR / "corpus.grids")
+    assert cli.run(["validate", "--jobs", str(jobs), corpus]) == 0
+    pooled = capsys.readouterr().out
+    assert sizes == [want]
+    assert cli.run(["validate", corpus]) == 0
+    assert capsys.readouterr().out == pooled
 
 
 def test_max_n_below_two_exits_one():

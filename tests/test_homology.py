@@ -7,7 +7,6 @@ from fractions import Fraction
 
 import pytest
 
-import gridfloer.chain as chain
 from gridfloer import (
     BigradedRanks,
     PoincarePolynomial,
@@ -97,12 +96,6 @@ def test_complex_bases_cover_all_generators():
         assert len(tc.bases.get((block.maslov - 1, block.alexander), ())) == block.n_rows
         for i, j in block.entries:
             assert 0 <= i < block.n_rows and 0 <= j < block.n_cols
-
-
-def test_reenumeration_path_matches_single_pass(monkeypatch):
-    want = homology_ranks(TREFOIL5).as_dict()
-    monkeypatch.setattr(chain, "SINGLE_PASS_LIMIT", 3)
-    assert homology_ranks(TREFOIL5).as_dict() == want
 
 
 def test_block_rank_small_matrices():
