@@ -62,14 +62,8 @@ from .grid import (
 )
 from .homology import (
     BigradedRanks,
-    BoundaryBlock,
-    PoincarePolynomial,
-    TildeComplex,
-    block_rank,
     homology_ranks,
     peel_v,
-    ranks_from_complex,
-    tilde_differential,
 )
 from .invariants import (
     KnotReport,
@@ -130,14 +124,8 @@ __all__ = [
     "serialize_grid",
     "successor_permutation",
     "BigradedRanks",
-    "BoundaryBlock",
-    "PoincarePolynomial",
-    "TildeComplex",
-    "block_rank",
     "homology_ranks",
     "peel_v",
-    "ranks_from_complex",
-    "tilde_differential",
     "KnotReport",
     "alexander_polynomial",
     "build_report",

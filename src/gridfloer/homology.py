@@ -9,7 +9,7 @@ adjacent matrices.
 The homology of the fully collapsed complex is not yet the link invariant:
 it carries n - l extra tensor factors V (l the number of link components),
 each V contributing one generator in bidegree (0, 0) and one in (-1, -1).
-``peel_v`` divides them back out of the Poincare polynomial, exactly.
+``peel_v`` divides them back out of the rank polynomial, exactly.
 """
 
 from __future__ import annotations
@@ -17,24 +17,14 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Mapping
 
-from .chain import Generator, _decode, _tilde_target_codes, iter_alexander_levels
+from .chain import _decode, _tilde_target_codes, iter_alexander_levels
 from .errors import NotDivisible
 from .gf2 import gf2_rank
 from .grid import GridDiagram
 
-__all__ = [
-    "BigradedRanks",
-    "PoincarePolynomial",
-    "BoundaryBlock",
-    "TildeComplex",
-    "tilde_differential",
-    "block_rank",
-    "ranks_from_complex",
-    "homology_ranks",
-    "peel_v",
-]
+__all__ = ["BigradedRanks", "homology_ranks", "peel_v"]
 
 
 def _as_fraction(s) -> Fraction:
@@ -46,11 +36,11 @@ def _as_fraction(s) -> Fraction:
 
 @dataclass(frozen=True)
 class BigradedRanks:
-    """Ranks of a bigraded GF(2) vector space.
+    """Ranks of a bigraded GF(2) vector space, read as a rank polynomial.
 
     ``entries`` holds (maslov, alexander, rank) triples with positive rank,
-    sorted by (alexander, maslov).  Alexander values are Fractions with
-    denominator 1 or 2.
+    sorted by (alexander, maslov): the polynomial sum of rank * t^maslov *
+    q^alexander.  Alexander values are Fractions with denominator 1 or 2.
     """
 
     entries: tuple[tuple[int, Fraction, int], ...]
@@ -65,6 +55,11 @@ class BigradedRanks:
                 items.append((int(m), _as_fraction(s), int(r)))
         items.sort(key=lambda t: (t[1], t[0]))
         return cls(tuple(items))
+
+    @classmethod
+    def v_factor(cls) -> "BigradedRanks":
+        """The rank polynomial 1 + t^-1 q^-1 of one V tensor factor."""
+        return cls.from_dict({(0, 0): 1, (-1, -1): 1})
 
     def as_dict(self) -> dict[tuple[int, Fraction], int]:
         return {(m, s): r for m, s, r in self.entries}
@@ -87,68 +82,23 @@ class BigradedRanks:
         s = _as_fraction(s)
         return sum(r for _, t, r in self.entries if t == s)
 
-    def to_poincare(self) -> "PoincarePolynomial":
-        return PoincarePolynomial.from_dict({(m, s): r for m, s, r in self.entries})
-
-
-@dataclass(frozen=True)
-class PoincarePolynomial:
-    """A polynomial sum of coeff * t^maslov * q^alexander with coeff >= 1.
-
-    ``terms`` holds (maslov, alexander, coeff) sorted by (alexander, maslov).
-    Coefficients are ranks, so negatives are rejected at construction.
-    """
-
-    terms: tuple[tuple[int, Fraction, int], ...]
-
-    @classmethod
-    def from_dict(cls, d: Mapping[tuple[int, object], int]) -> "PoincarePolynomial":
-        items = []
-        for (m, s), c in d.items():
-            if c < 0:
-                raise ValueError(f"negative coefficient {c} at ({m}, {s})")
-            if c:
-                items.append((int(m), _as_fraction(s), int(c)))
-        items.sort(key=lambda t: (t[1], t[0]))
-        return cls(tuple(items))
-
-    @classmethod
-    def one(cls) -> "PoincarePolynomial":
-        return cls.from_dict({(0, 0): 1})
-
-    @classmethod
-    def v_factor(cls) -> "PoincarePolynomial":
-        """The rank polynomial 1 + t^-1 q^-1 of one V tensor factor."""
-        return cls.from_dict({(0, 0): 1, (-1, -1): 1})
-
-    def as_dict(self) -> dict[tuple[int, Fraction], int]:
-        return {(m, s): c for m, s, c in self.terms}
-
-    def coefficient(self, m: int, s) -> int:
-        return self.as_dict().get((int(m), _as_fraction(s)), 0)
-
-    def total(self) -> int:
-        return sum(c for _, _, c in self.terms)
-
-    def to_ranks(self) -> BigradedRanks:
-        return BigradedRanks.from_dict(self.as_dict())
-
-    def __mul__(self, other: "PoincarePolynomial") -> "PoincarePolynomial":
+    def __mul__(self, other: "BigradedRanks") -> "BigradedRanks":
+        """Tensor product: the product of the two rank polynomials."""
         out: dict[tuple[int, Fraction], int] = {}
-        for m1, s1, c1 in self.terms:
-            for m2, s2, c2 in other.terms:
+        for m1, s1, r1 in self.entries:
+            for m2, s2, r2 in other.entries:
                 key = (m1 + m2, s1 + s2)
-                out[key] = out.get(key, 0) + c1 * c2
-        return PoincarePolynomial.from_dict(out)
+                out[key] = out.get(key, 0) + r1 * r2
+        return BigradedRanks.from_dict(out)
 
     def __str__(self) -> str:
-        if not self.terms:
+        if not self.entries:
             return "0"
         parts = []
-        for m, s, c in self.terms:
+        for m, s, r in self.entries:
             pieces = []
-            if c != 1 or (m == 0 and s == 0):
-                pieces.append(str(c))
+            if r != 1 or (m == 0 and s == 0):
+                pieces.append(str(r))
             if m:
                 pieces.append(f"t^{m}")
             if s:
@@ -157,103 +107,24 @@ class PoincarePolynomial:
         return " + ".join(parts)
 
 
-@dataclass(frozen=True)
-class BoundaryBlock:
-    """The boundary matrix C(maslov, alexander) -> C(maslov - 1, alexander).
-
-    ``entries`` are (row, col) positions of the nonzero GF(2) coefficients;
-    columns index the sources at ``maslov``, rows the targets one below, both
-    in lexicographic generator order.
-    """
-
-    maslov: int
-    alexander: Fraction
-    n_rows: int
-    n_cols: int
-    entries: tuple[tuple[int, int], ...]
-
-
-@dataclass(frozen=True)
-class TildeComplex:
-    """Explicit bases and boundary matrices of the fully collapsed complex.
-
-    Materializes all n! generators; intended for small grids, cross-checks,
-    and tests.  ``homology_ranks`` computes the same ranks without keeping
-    more than bucket-local state.
-    """
-
-    grid: GridDiagram
-    bases: Mapping[tuple[int, Fraction], tuple[Generator, ...]]
-    blocks: tuple[BoundaryBlock, ...]
-
-
-def _boundary_rows(G: GridDiagram, levels: Mapping[int, array], row_of):
+def _boundary_rows(G: GridDiagram, levels: Mapping[int, array]):
     """The collapsed boundary blocks of one Alexander level, one Maslov level at a time.
 
-    Yields (m, rows) for each Maslov level m in increasing order, with
-    rows[j] = row_of(target codes of source j, index of the codes at m - 1).
-    ``row_of`` does the mod-2 accumulation, so each caller keeps its own
-    row form.
+    Yields (m, rows) for each Maslov level m in increasing order.  rows[j] is
+    the mod-2 boundary of the j-th source at m as an int bitset over the
+    lexicographic index of the codes at m - 1.
     """
     n, o, xs = G.n, G.o_rows, G.x_rows
     index = {m: {code: i for i, code in enumerate(arr)} for m, arr in levels.items()}
     for m in sorted(levels):
         lower = index.get(m - 1, {})
-        yield m, [
-            row_of(_tilde_target_codes(_decode(code, n), code, o, xs, n), lower)
-            for code in levels[m]
-        ]
-
-
-def _index_set(targets: list[int], lower: dict[int, int]) -> set[int]:
-    hits: set[int] = set()
-    for t in targets:
-        hits ^= {lower[t]}
-    return hits
-
-
-def _index_mask(targets: list[int], lower: dict[int, int]) -> int:
-    mask = 0
-    for t in targets:
-        mask ^= 1 << lower[t]
-    return mask
-
-
-def tilde_differential(G: GridDiagram) -> TildeComplex:
-    """Assemble the collapsed complex as explicit per-bigrading sparse matrices."""
-    bases: dict[tuple[int, Fraction], tuple[Generator, ...]] = {}
-    blocks: list[BoundaryBlock] = []
-    for two_a, levels in iter_alexander_levels(G):
-        s = Fraction(two_a, 2)
-        for m in sorted(levels):
-            bases[(m, s)] = tuple(_decode(code, G.n) for code in levels[m])
-        for m, rows in _boundary_rows(G, levels, _index_set):
-            entries = sorted((i, j) for j, hits in enumerate(rows) for i in hits)
-            n_rows = len(levels.get(m - 1, ()))
-            blocks.append(BoundaryBlock(m, s, n_rows, len(rows), tuple(entries)))
-    return TildeComplex(G, bases, tuple(blocks))
-
-
-def block_rank(block: BoundaryBlock) -> int:
-    """GF(2) rank of one boundary block."""
-    masks = [0] * block.n_cols
-    for i, j in block.entries:
-        masks[j] |= 1 << i
-    return gf2_rank(masks)
-
-
-def ranks_from_complex(tc: TildeComplex) -> BigradedRanks:
-    """Homology ranks of an explicit complex: dim minus adjacent boundary ranks."""
-    dims = {key: len(basis) for key, basis in tc.bases.items()}
-    brank = {(b.maslov, b.alexander): block_rank(b) for b in tc.blocks}
-    out = {}
-    for (m, s), d in dims.items():
-        h = d - brank.get((m, s), 0) - brank.get((m + 1, s), 0)
-        if h < 0:
-            raise ArithmeticError(f"negative rank at ({m}, {s}); boundary blocks inconsistent")
-        if h:
-            out[(m, s)] = h
-    return BigradedRanks.from_dict(out)
+        rows = []
+        for code in levels[m]:
+            mask = 0
+            for t in _tilde_target_codes(_decode(code, n), code, o, xs, n):
+                mask ^= 1 << lower[t]
+            rows.append(mask)
+        yield m, rows
 
 
 def homology_ranks(G: GridDiagram) -> BigradedRanks:
@@ -265,7 +136,7 @@ def homology_ranks(G: GridDiagram) -> BigradedRanks:
     """
     ranks: dict[tuple[int, Fraction], int] = {}
     for two_a, levels in iter_alexander_levels(G):
-        boundary_rank = {m: gf2_rank(rows) for m, rows in _boundary_rows(G, levels, _index_mask)}
+        boundary_rank = {m: gf2_rank(rows) for m, rows in _boundary_rows(G, levels)}
         s = Fraction(two_a, 2)
         for m, arr in levels.items():
             h = len(arr) - boundary_rank.get(m, 0) - boundary_rank.get(m + 1, 0)
@@ -276,7 +147,7 @@ def homology_ranks(G: GridDiagram) -> BigradedRanks:
     return BigradedRanks.from_dict(ranks)
 
 
-def peel_v(poly: PoincarePolynomial, count: int) -> PoincarePolynomial:
+def peel_v(poly: BigradedRanks, count: int) -> BigradedRanks:
     """Divide a rank polynomial by (1 + t^-1 q^-1) ** count, exactly.
 
     The factor couples bidegrees along diagonals of constant s - m, so each
@@ -290,7 +161,7 @@ def peel_v(poly: PoincarePolynomial, count: int) -> PoincarePolynomial:
     coeffs = poly.as_dict()
     for _ in range(count):
         coeffs = _peel_once(coeffs)
-    return PoincarePolynomial.from_dict(coeffs)
+    return BigradedRanks.from_dict(coeffs)
 
 
 def _peel_once(

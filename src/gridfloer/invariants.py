@@ -12,11 +12,10 @@ versions of those detection theorems.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import NotAKnot
 from .grid import GridDiagram, link_summary
-from .homology import BigradedRanks, PoincarePolynomial, homology_ranks, peel_v
+from .homology import BigradedRanks, homology_ranks, peel_v
 from .laurent import symmetric_normalized
 
 __all__ = [
@@ -36,14 +35,14 @@ def _require_knot(G: GridDiagram, what: str) -> None:
         raise NotAKnot(f"{what} needs a knot; this grid has {count} components")
 
 
-def _peeled(G: GridDiagram, ranks: BigradedRanks) -> PoincarePolynomial:
+def _peeled(G: GridDiagram, ranks: BigradedRanks) -> BigradedRanks:
     components = link_summary(G).component_count
-    return peel_v(ranks.to_poincare(), G.n - components)
+    return peel_v(ranks, G.n - components)
 
 
 def hfk_hat(G: GridDiagram) -> BigradedRanks:
     """Hat-flavor knot (or link) Floer homology ranks, V factors divided out."""
-    return _peeled(G, homology_ranks(G)).to_ranks()
+    return _peeled(G, homology_ranks(G))
 
 
 def genus(G: GridDiagram) -> int:
@@ -105,7 +104,7 @@ class KnotReport:
     n: int
     components: int
     total_rank: int
-    poincare: PoincarePolynomial
+    poincare: BigradedRanks
     genus: int
     is_unknot: bool
     is_fibered: bool
@@ -121,7 +120,7 @@ class KnotReport:
             "is_unknot": self.is_unknot,
             "is_fibered": self.is_fibered,
             "alexander": [[e, c] for e, c in self.alexander],
-            "poincare": [[m, str(s), c] for m, s, c in self.poincare.terms],
+            "poincare": [[m, str(s), c] for m, s, c in self.poincare.entries],
         }
 
 
@@ -130,10 +129,9 @@ def build_report(G: GridDiagram) -> KnotReport:
     _require_knot(G, "the knot report")
     ranks = homology_ranks(G)
     peeled = _peeled(G, ranks)
-    peeled_ranks = peeled.to_ranks()
-    top = peeled_ranks.max_alexander()
+    top = peeled.max_alexander()
     assert top.denominator == 1, "knot gradings are integers"
-    alex = _alexander_from_ranks(peeled_ranks)
+    alex = _alexander_from_ranks(peeled)
     return KnotReport(
         n=G.n,
         components=1,
@@ -141,6 +139,6 @@ def build_report(G: GridDiagram) -> KnotReport:
         poincare=peeled,
         genus=int(top),
         is_unknot=ranks.total_rank() == 2 ** (G.n - 1),
-        is_fibered=peeled_ranks.rank_at_alexander(top) == 1,
+        is_fibered=peeled.rank_at_alexander(top) == 1,
         alexander=tuple(sorted(alex.items())),
     )

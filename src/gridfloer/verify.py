@@ -148,11 +148,11 @@ def _check_peel_exact(G: GridDiagram) -> CheckResult:
     """V peeling of the homology succeeds with no remainder."""
     components = link_summary(G).component_count
     try:
-        peeled = peel_v(homology_ranks(G).to_poincare(), G.n - components)
+        peeled = peel_v(homology_ranks(G), G.n - components)
     except NotDivisible as err:
         return CheckResult("peel_exact", False, str(err))
     return CheckResult(
-        "peel_exact", True, f"peeled {G.n - components} factors, rank {peeled.total()}"
+        "peel_exact", True, f"peeled {G.n - components} factors, rank {peeled.total_rank()}"
     )
 
 

@@ -3,9 +3,10 @@
 The oracles recompute what the package computes, by deliberately different
 routes: gradings by literal southwest pair counting over weighted point
 sets, rectangles by exhaustive enumeration of all n^4 corner choices,
-components by union-find over link segments, and homology by a dense
-Gaussian elimination pipeline built only on those oracles.  Agreement
-between a fast path and its oracle is evidence for both.
+components by union-find over link segments, homology by a dense
+Gaussian elimination pipeline built only on those oracles, and the knot
+Floer homology of torus knots by a closed form that needs no complex at
+all.  Agreement between a fast path and its oracle is evidence for both.
 """
 
 from __future__ import annotations
@@ -230,3 +231,60 @@ def oracle_homology(G: GridDiagram) -> dict[tuple[int, Fraction], int]:
         if r:
             ranks[(int(m), a)] = r
     return ranks
+
+
+# -- torus-knot oracle --------------------------------------------------------
+
+
+def torus_grid(p: int, q: int) -> GridDiagram:
+    """The (p + q)-grid of the torus knot T(p, q): O_i = i + p mod n, X = identity."""
+    n = p + q
+    return new_grid(n, tuple((i + p) % n for i in range(n)), tuple(range(n)))
+
+
+def _poly_mul(a: list[int], b: list[int]) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _poly_div_exact(num: list[int], den: list[int]) -> list[int]:
+    """Quotient of integer polynomials (lowest degree first); den is monic."""
+    num = list(num)
+    quot = [0] * (len(num) - len(den) + 1)
+    for k in range(len(quot) - 1, -1, -1):
+        c = num[k + len(den) - 1]
+        quot[k] = c
+        for j, d in enumerate(den):
+            num[k + j] -= c * d
+    assert not any(num), "division must be exact"
+    return quot
+
+
+def oracle_torus_hfk(p: int, q: int) -> dict[tuple[int, Fraction], int]:
+    """HFK-hat of T(p, q) in the grading convention of ``torus_grid``.
+
+    Delta = (t^pq - 1)(t - 1) / ((t^p - 1)(t^q - 1)), centred on t^0, has
+    coefficients +1, -1, +1, ... at exponents n_0 > n_1 > ... .  A torus knot
+    is an L-space knot, so HFK-hat has rank one at each n_k, in Maslov
+    grading m_0 = 0, m_2k = m_2k-1 - 1 and m_2k+1 = m_2k - 2(n_2k - n_2k+1) + 1.
+    These grids present the mirror of that staircase, (m, s) -> (-m, -s).
+    """
+
+    def t_power_minus_one(e: int) -> list[int]:
+        return [-1] + [0] * (e - 1) + [1]
+
+    num = _poly_mul(t_power_minus_one(p * q), t_power_minus_one(1))
+    delta = _poly_div_exact(num, _poly_mul(t_power_minus_one(p), t_power_minus_one(q)))
+    exps = [e for e in range(len(delta) - 1, -1, -1) if delta[e]]
+    assert [delta[e] for e in exps] == [(-1) ** k for k in range(len(exps))], "not a staircase"
+    maslov = [0]
+    for k in range(1, len(exps)):
+        if k % 2:
+            maslov.append(maslov[-1] - 2 * (exps[k - 1] - exps[k]) + 1)
+        else:
+            maslov.append(maslov[-1] - 1)
+    centre = (len(delta) - 1) // 2
+    return {(-m, Fraction(centre - e)): 1 for m, e in zip(maslov, exps)}

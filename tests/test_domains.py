@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 import random
 from fractions import Fraction
 
@@ -11,7 +10,6 @@ import pytest
 from gridfloer import (
     GridDomain,
     add_domains,
-    bigrading,
     euler_measure,
     from_rectangle,
     maslov,

@@ -1,0 +1,25 @@
+"""The benchmark harness self-test passes on this tree.
+
+A rename of a function the tracer wraps shows up here as a wrap point
+reported missing, instead of only at the next benchmark run.
+"""
+
+from __future__ import annotations
+
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_perfbench_selftest_passes():
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "selftest.py")],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "0 failed" in proc.stdout
