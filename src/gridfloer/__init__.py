@@ -64,6 +64,7 @@ from .homology import (
     BigradedRanks,
     homology_ranks,
     peel_v,
+    top_alexander_level,
 )
 from .invariants import (
     KnotReport,
@@ -126,6 +127,7 @@ __all__ = [
     "BigradedRanks",
     "homology_ranks",
     "peel_v",
+    "top_alexander_level",
     "KnotReport",
     "alexander_polynomial",
     "build_report",

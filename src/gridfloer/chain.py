@@ -15,6 +15,16 @@ M_X is the Maslov formula with the X markings in place of the O markings.
 M is always an integer; A is an integer for knots and a half-integer in
 general, so it is exposed as a ``fractions.Fraction``.
 
+Every pair that involves a marking involves one generator point only, so
+both gradings are sums of per-point weights plus constants:
+2A(x) = sum_c wa[c][x[c]] + const and
+M(x) = #{c < d : x[c] < x[d]} + sum_c wm[c][x[c]] + const.  The
+enumeration reads the weights from two n-by-n tables, built once per grid,
+and carries both gradings along a depth-first search over the columns, so
+grading costs O(1) amortized per generator; since 2A is a sum over
+columns, the search can cut off every partial generator that cannot reach
+a given Alexander level.
+
 The differentials count empty rectangles: embedded rectangles on the torus
 whose lower-left and upper-right corners are points of the source generator,
 whose other two corners are points of the target, and whose interior contains
@@ -103,44 +113,36 @@ def _pair_constants(G: GridDiagram) -> tuple[int, int]:
     return ioo + 1, ioo - ixx - (n - 1)
 
 
-def _bigrading_raw(
-    perm: Generator,
-    o_rows: tuple[int, ...],
-    x_rows: tuple[int, ...],
-    n: int,
-    const_m: int,
-    const_a: int,
-) -> tuple[int, int]:
-    """(Maslov, doubled Alexander) for one generator.
+def _point_weights(G: GridDiagram, c: int, r: int) -> tuple[int, int]:
+    """(wm, wa): what the point (c, r) adds to M and to 2A through the markings.
 
-    Markings sit at cell centers (c + 1/2, r + 1/2), so a generator point
-    (c, pc) is southwest of the marking of column d >= c exactly when
-    pc <= row(d), and a marking of column c is southwest of a generator point
-    (d, pd) with d > c exactly when row(c) < pd.
+    Markings sit at cell centers (c + 1/2, r + 1/2), so the point is
+    southwest of the marking of column d >= c exactly when r <= row(d), and
+    the marking of column d < c is southwest of it exactly when row(d) < r.
+    Each such pair with an O costs one in M and in 2A; each with an X adds
+    one to 2A.  The rows of each marking kind are a permutation, so n - r
+    markings sit at rows >= r; with k of them in columns d < c, the pairs
+    number (n - r - k) + (c - k).
     """
-    ixx = ixo = iox = ixX = iXx = 0
-    for c in range(n):
-        pc = perm[c]
-        oc = o_rows[c]
-        xc = x_rows[c]
-        if pc <= oc:
-            ixo += 1
-        if pc <= xc:
-            ixX += 1
-        for d in range(c + 1, n):
-            pd = perm[d]
-            if pc < pd:
-                ixx += 1
-            if pc <= o_rows[d]:
-                ixo += 1
-            if oc < pd:
-                iox += 1
-            if pc <= x_rows[d]:
-                ixX += 1
-            if xc < pd:
-                iXx += 1
-    m = ixx - ixo - iox + const_m
-    two_a = (ixX + iXx - ixo - iox) + const_a
+    n = G.n
+    k_o = sum(1 for row in G.o_rows[:c] if row >= r)
+    k_x = sum(1 for row in G.x_rows[:c] if row >= r)
+    return 2 * k_o - (n - r + c), 2 * (k_o - k_x)
+
+
+def _grade(G: GridDiagram, perm: Generator, const_m: int, const_a: int) -> tuple[int, int]:
+    """(Maslov, doubled Alexander) of one generator, O(n^2).
+
+    M is the count of pairs c < d with perm[c] < perm[d] plus the point
+    weights and const_m; 2A is the point weights plus const_a.
+    """
+    n = G.n
+    m = const_m + sum(1 for c in range(n) for d in range(c + 1, n) if perm[c] < perm[d])
+    two_a = const_a
+    for c, r in enumerate(perm):
+        wm, wa = _point_weights(G, c, r)
+        m += wm
+        two_a += wa
     return m, two_a
 
 
@@ -156,8 +158,7 @@ def alexander(G: GridDiagram, x: Generator) -> Fraction:
 
 def bigrading(G: GridDiagram, x: Generator) -> tuple[int, Fraction]:
     _check_generator(G, x)
-    const_m, const_a = _pair_constants(G)
-    m, two_a = _bigrading_raw(tuple(x), G.o_rows, G.x_rows, G.n, const_m, const_a)
+    m, two_a = _grade(G, tuple(x), *_pair_constants(G))
     return m, Fraction(two_a, 2)
 
 
@@ -405,22 +406,81 @@ def tilde_targets(G: GridDiagram, x: Generator) -> list[Generator]:
 # -- bucketed enumeration ----------------------------------------------------
 
 
-def iter_alexander_levels(G: GridDiagram) -> Iterator[tuple[int, dict[int, array]]]:
+def _weight_tables(G: GridDiagram) -> tuple[list[list[int]], list[list[int]]]:
+    """The n-by-n tables wm[c][r], wa[c][r] of ``_point_weights``."""
+    n = G.n
+    wm = [[0] * n for _ in range(n)]
+    wa = [[0] * n for _ in range(n)]
+    for c in range(n):
+        for r in range(n):
+            wm[c][r], wa[c][r] = _point_weights(G, c, r)
+    return wm, wa
+
+
+def _two_a_bounds(G: GridDiagram) -> tuple[int, int]:
+    """(lowest, highest) 2A a generator could have: column minima and maxima of wa."""
+    const_a = _pair_constants(G)[1]
+    _, wa = _weight_tables(G)
+    return const_a + sum(map(min, wa)), const_a + sum(map(max, wa))
+
+
+def iter_alexander_levels(
+    G: GridDiagram, min_two_a: int | None = None
+) -> Iterator[tuple[int, dict[int, array]]]:
     """Yield (doubled Alexander grading, {Maslov: packed generator codes}).
 
     Levels come in increasing Alexander order; within a level, codes are in
-    lexicographic generator order.  All n! generators are enumerated once
-    and bucketed at 8 bytes each, far less than what homology builds per
-    level from them.  Codes pack 4 bits per column, so grids above 16
-    columns raise GridTooLarge.
+    lexicographic generator order.  ``min_two_a`` keeps only the levels with
+    2A >= min_two_a; None keeps all n!.  Generators are bucketed at 8 bytes
+    each, far less than what homology builds per level from them.  Codes
+    pack 4 bits per column, so grids above 16 columns raise GridTooLarge.
+
+    A depth-first search fixes columns left to right, trying rows in
+    increasing order, so generators come in lexicographic order.  M and 2A
+    are carried along: placing row r in column c adds the weights wm[c][r]
+    and wa[c][r] and, to M, one for each earlier column with a lower row.
+    A partial generator whose 2A plus the largest weights the remaining
+    columns could add stays below ``min_two_a`` is cut off.
     """
     if G.n > MAX_PACKED_N:
         raise GridTooLarge(f"grid size {G.n} exceeds the packing limit {MAX_PACKED_N}")
-    n, o, xs = G.n, G.o_rows, G.x_rows
+    n = G.n
     const_m, const_a = _pair_constants(G)
+    wm, wa = _weight_tables(G)
+    # reach[c]: the most that columns c..n-1 can still add to 2A.
+    reach = [0] * (n + 1)
+    for c in range(n - 1, -1, -1):
+        reach[c] = reach[c + 1] + max(wa[c])
+    if min_two_a is None:
+        min_two_a = _two_a_bounds(G)[0]
+    floor = min_two_a - const_a
     buckets: dict[int, dict[int, array]] = {}
-    for perm in itertools.permutations(range(n)):
-        m, two_a = _bigrading_raw(perm, o, xs, n, const_m, const_a)
-        buckets.setdefault(two_a, {}).setdefault(m, array("Q")).append(_encode(perm))
+    rows = range(n)
+    full = (1 << n) - 1
+    wm_last, wa_last = wm[n - 1], wa[n - 1]
+    last_shift = PACK_BITS * (n - 1)
+
+    def place(c: int, used: int, m: int, two_a: int, code: int) -> None:
+        row_m, row_a = wm[c], wa[c]
+        need = floor - reach[c + 1]
+        shift = PACK_BITS * c
+        for r in rows:
+            bit = 1 << r
+            if used & bit or two_a + row_a[r] < need:
+                continue
+            m_r = m + row_m[r] + (used & (bit - 1)).bit_count()
+            if c + 2 < n:
+                place(c + 1, used | bit, m_r, two_a + row_a[r], code | r << shift)
+                continue
+            # The last column takes the one row left.
+            used_r = used | bit
+            last = (full ^ used_r).bit_length() - 1
+            a_last = two_a + row_a[r] + wa_last[last]
+            if a_last >= floor:
+                level = buckets.setdefault(a_last + const_a, {})
+                m_last = m_r + wm_last[last] + (used_r & ((1 << last) - 1)).bit_count()
+                level.setdefault(m_last, array("Q")).append(code | r << shift | last << last_shift)
+
+    place(0, 0, const_m, 0, 0)
     for two_a in sorted(buckets):
         yield two_a, buckets[two_a]

@@ -5,8 +5,9 @@ One verb per invocation; every file-reading verb accepts a batch of grids
 JSON line (``--format records``) per grid, in input order.  Entry-level
 failures are reported in-stream so batch output stays aligned with batch
 input; the process exit code is the worst entry code: 0 fine, 1 bad input,
-2 internal alarm (a structural self-check or exact division failed, meaning
-a bug here rather than in the input).
+2 internal alarm (a structural self-check or exact division failed, or the
+computation raised any other exception, meaning a bug here rather than in
+the input).
 """
 
 from __future__ import annotations
@@ -23,19 +24,23 @@ from .chain import MAX_PACKED_N
 from .errors import GridError, GridTooLarge, NotDivisible
 from .grid import GridDiagram, link_summary, parse_grids, random_grid, serialize_grid
 from .homology import BigradedRanks, homology_ranks
-from .invariants import build_report, hfk_hat
+from .invariants import _require_knot, build_report, genus, hfk_hat, is_fibered, is_unknot
 from .laurent import laurent_string
 from .moves import GridMove, MoveKind, apply_move
 from .verify import run_checks
 
 __all__ = ["run", "main"]
 
-# Verbs that enumerate all n! generators and so honor the --max-n guard.
+# Verbs that enumerate generators of the n!-generator complex and so honor
+# the --max-n guard.
 EXPENSIVE_VERBS = frozenset(
     {"homology", "hfk", "unknot", "genus", "fibered", "alexander", "verify"}
 )
 
 Entry = tuple[int, list[str], dict]
+
+# What the NotAKnot error names on a link, the same for every knot verb.
+KNOT_VERBS_NAME = "the knot report"
 
 
 def _ranks_lines(ranks: BigradedRanks) -> list[str]:
@@ -107,8 +112,8 @@ def _h_hfk(G: GridDiagram, opts: dict) -> Entry:
 
 
 def _h_unknot(G: GridDiagram, opts: dict) -> Entry:
-    report = build_report(G)
-    value = report.is_unknot
+    _require_knot(G, KNOT_VERBS_NAME)
+    value = is_unknot(G)
     return 0, [f"unknot: {'true' if value else 'false'}"], {
         "verb": "unknot",
         "n": G.n,
@@ -117,13 +122,14 @@ def _h_unknot(G: GridDiagram, opts: dict) -> Entry:
 
 
 def _h_genus(G: GridDiagram, opts: dict) -> Entry:
-    report = build_report(G)
-    return 0, [f"genus: {report.genus}"], {"verb": "genus", "n": G.n, "genus": report.genus}
+    _require_knot(G, KNOT_VERBS_NAME)
+    value = genus(G)
+    return 0, [f"genus: {value}"], {"verb": "genus", "n": G.n, "genus": value}
 
 
 def _h_fibered(G: GridDiagram, opts: dict) -> Entry:
-    report = build_report(G)
-    value = report.is_fibered
+    _require_knot(G, KNOT_VERBS_NAME)
+    value = is_fibered(G)
     return 0, [f"fibered: {'true' if value else 'false'}"], {
         "verb": "fibered",
         "n": G.n,
@@ -205,12 +211,23 @@ def _process_entry(payload: tuple[str, GridDiagram, dict]) -> Entry:
                 )
         return _HANDLERS[verb](G, opts)
     except NotDivisible as err:
-        record = {"verb": verb, "error": str(err), "error_type": "NotDivisible"}
-        return 2, [f"error: NotDivisible: {err}"], record
+        return _error_entry(verb, 2, err)
     except GridError as err:
-        name = type(err).__name__
-        record = {"verb": verb, "error": str(err), "error_type": name}
-        return 1, [f"error: {name}: {err}"], record
+        return _error_entry(verb, 1, err)
+    except Exception as err:
+        # A bug here, not bad input: keep the traceback on stderr, report
+        # the entry in-stream and go on with the batch.  Imported here, as
+        # importing traceback costs every run about 2 ms of set-up.
+        import traceback
+
+        traceback.print_exc(file=sys.stderr)
+        return _error_entry(verb, 2, err)
+
+
+def _error_entry(verb: str, code: int, err: Exception) -> Entry:
+    name = type(err).__name__
+    record = {"verb": verb, "error": str(err), "error_type": name}
+    return code, [f"error: {name}: {err}"], record
 
 
 def _read_text(path: str) -> str:

@@ -4,7 +4,10 @@ The differential preserves the Alexander grading and drops Maslov by one, so
 the complex splits into independent blocks: for each Alexander level s and
 Maslov level m there is a boundary matrix C(m, s) -> C(m-1, s) over GF(2),
 and the homology rank at (m, s) is dim C(m, s) minus the ranks of the two
-adjacent matrices.
+adjacent matrices.  ``homology_ranks`` ranks every level;
+``top_alexander_level`` ranks from the top down and stops at the first
+level with homology, which is all that genus, fiberedness and unknot
+detection read.
 
 The homology of the fully collapsed complex is not yet the link invariant:
 it carries n - l extra tensor factors V (l the number of link components),
@@ -19,12 +22,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .chain import _decode, _tilde_target_codes, iter_alexander_levels
+from .chain import _decode, _tilde_target_codes, _two_a_bounds, iter_alexander_levels
 from .errors import NotDivisible
 from .gf2 import gf2_rank
 from .grid import GridDiagram
 
-__all__ = ["BigradedRanks", "homology_ranks", "peel_v"]
+__all__ = ["BigradedRanks", "homology_ranks", "peel_v", "top_alexander_level"]
 
 
 def _as_fraction(s) -> Fraction:
@@ -127,6 +130,24 @@ def _boundary_rows(G: GridDiagram, levels: Mapping[int, array]):
         yield m, rows
 
 
+def _level_ranks(G: GridDiagram, two_a: int, levels: Mapping[int, array]) -> dict[int, int]:
+    """{Maslov: rank} of the nonzero homology of one Alexander level.
+
+    The rank at m is dim C(m) minus the ranks of the boundary blocks out of
+    m and into m.
+    """
+    boundary_rank = {m: gf2_rank(rows) for m, rows in _boundary_rows(G, levels)}
+    ranks = {}
+    for m, arr in levels.items():
+        h = len(arr) - boundary_rank.get(m, 0) - boundary_rank.get(m + 1, 0)
+        if h < 0:
+            s = Fraction(two_a, 2)
+            raise ArithmeticError(f"negative rank at ({m}, {s}); differential inconsistent")
+        if h:
+            ranks[m] = h
+    return ranks
+
+
 def homology_ranks(G: GridDiagram) -> BigradedRanks:
     """Bigraded homology ranks of the fully collapsed complex.
 
@@ -136,15 +157,39 @@ def homology_ranks(G: GridDiagram) -> BigradedRanks:
     """
     ranks: dict[tuple[int, Fraction], int] = {}
     for two_a, levels in iter_alexander_levels(G):
-        boundary_rank = {m: gf2_rank(rows) for m, rows in _boundary_rows(G, levels)}
         s = Fraction(two_a, 2)
-        for m, arr in levels.items():
-            h = len(arr) - boundary_rank.get(m, 0) - boundary_rank.get(m + 1, 0)
-            if h < 0:
-                raise ArithmeticError(f"negative rank at ({m}, {s}); differential inconsistent")
-            if h:
-                ranks[(m, s)] = h
+        for m, h in _level_ranks(G, two_a, levels).items():
+            ranks[(m, s)] = h
     return BigradedRanks.from_dict(ranks)
+
+
+def top_alexander_level(G: GridDiagram) -> tuple[Fraction, dict[int, int]]:
+    """(s, {Maslov: rank}) at the highest Alexander level s with nonzero homology.
+
+    The differential preserves A, so levels are ranked one at a time from
+    the top generator level down, each at most once, and the walk stops at
+    the first with homology.  Generators are enumerated only down to a
+    floor on 2A.  The floor starts at an upper bound on 2A and drops by 2
+    until the first round finds generators, which are exactly the top
+    generator level; from there it drops by 2, 4, 8, ..., so a walk that
+    has to go far down takes logarithmically many rounds.
+    """
+    lowest, floor = _two_a_bounds(G)
+    ranked_from = floor + 1  # levels at or above this 2A are ranked, all zero
+    step = 2
+    while True:
+        found = list(iter_alexander_levels(G, floor))
+        for two_a, levels in reversed(found):
+            if two_a < ranked_from:
+                ranks = _level_ranks(G, two_a, levels)
+                if ranks:
+                    return Fraction(two_a, 2), ranks
+        if floor <= lowest:
+            raise ArithmeticError("collapsed homology is zero; differential inconsistent")
+        ranked_from = floor
+        floor -= step
+        if found:
+            step *= 2
 
 
 def peel_v(poly: BigradedRanks, count: int) -> BigradedRanks:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .errors import NotAKnot
 from .grid import GridDiagram, link_summary
-from .homology import BigradedRanks, homology_ranks, peel_v
+from .homology import BigradedRanks, homology_ranks, peel_v, top_alexander_level
 from .laurent import symmetric_normalized
 
 __all__ = [
@@ -46,32 +46,40 @@ def hfk_hat(G: GridDiagram) -> BigradedRanks:
 
 
 def genus(G: GridDiagram) -> int:
-    """Seifert genus of a knot: the top Alexander grading carrying homology."""
+    """Seifert genus of a knot: the top Alexander grading carrying homology.
+
+    The V factors never raise A, so the top level of the collapsed homology
+    is the top level of the hat homology; only the levels above it are ranked.
+    """
     _require_knot(G, "genus")
-    top = hfk_hat(G).max_alexander()
+    top, _ = top_alexander_level(G)
     assert top.denominator == 1, "knot gradings are integers"
     return int(top)
 
 
 def is_unknot(G: GridDiagram) -> bool:
-    """Unknot detection: total collapsed homology rank is exactly 2^(n-1).
+    """Unknot detection: the knot has genus 0.
 
-    Equivalent to the peeled homology being a single generator at (0, 0),
-    since each of the n - 1 V factors doubles the total rank.
+    Reads the top Alexander level carrying homology and checks that it is
+    A = 0, so it ranks only the levels from the top generator level down to
+    that one, not the whole complex.
     """
     _require_knot(G, "unknot detection")
-    return homology_ranks(G).total_rank() == 2 ** (G.n - 1)
+    top, _ = top_alexander_level(G)
+    return top == 0
 
 
 def is_fibered(G: GridDiagram) -> bool:
     """Fiberedness of a knot: rank one at the top Alexander grading.
 
-    This is the mod-2 rank statement; it is the standard detection criterion
-    for the coefficients used by this package.
+    Each V factor contributes exactly one generator at the top level, so
+    the collapsed rank there equals the hat rank.  This is the mod-2 rank
+    statement; it is the standard detection criterion for the coefficients
+    used by this package.
     """
     _require_knot(G, "fiberedness")
-    ranks = hfk_hat(G)
-    return ranks.rank_at_alexander(ranks.max_alexander()) == 1
+    _, ranks = top_alexander_level(G)
+    return sum(ranks.values()) == 1
 
 
 def alexander_polynomial(G: GridDiagram) -> dict[int, int]:

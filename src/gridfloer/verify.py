@@ -10,14 +10,15 @@ it with the internal-alarm exit code.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass
 from typing import Iterable
 
 from .chain import (
-    _bigrading_raw,
     _encode,
+    _grade,
     _minus_terms_from,
     _pair_constants,
     _tilde_target_codes,
@@ -109,12 +110,14 @@ def _check_grading_laws(G: GridDiagram) -> CheckResult:
     drop of the weighted term to exactly one in M and zero in A)."""
     n, o, xs = G.n, G.o_rows, G.x_rows
     const_m, const_a = _pair_constants(G)
+    # Each generator is the target of several terms; grade it once.
+    grade = functools.cache(lambda y: _grade(G, y, const_m, const_a))
     sources, scope = _sources(G)
     count = 0
     for x in sources:
-        m_x, a_x = _bigrading_raw(x, o, xs, n, const_m, const_a)
+        m_x, a_x = grade(x)
         for y, exps in _minus_terms_from(x, o, xs, n):
-            m_y, a_y = _bigrading_raw(y, o, xs, n, const_m, const_a)
+            m_y, a_y = grade(y)
             swept = sum(exps)
             if m_x - m_y != 1 - 2 * swept or a_x - a_y != -2 * swept:
                 return CheckResult(

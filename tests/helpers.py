@@ -11,6 +11,7 @@ all.  Agreement between a fast path and its oracle is evidence for both.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -43,6 +44,15 @@ def all_grids(n: int):
         for x in itertools.permutations(range(n)):
             if all(x[c] != o[c] for c in range(n)):
                 yield GridDiagram(n, o, x)
+
+
+@functools.cache
+def d_squared_suite() -> tuple[tuple, tuple]:
+    """All valid grids with n <= 4, plus 200 seeded random grids with n in 5..7."""
+    small = tuple(G for n in (2, 3, 4) for G in all_grids(n))
+    rng = random.Random(0xD57)
+    big = tuple(random_grid(rng.choice((5, 6, 7)), rng) for _ in range(200))
+    return small, big
 
 
 # -- grading oracle -----------------------------------------------------------

@@ -6,7 +6,6 @@ each.  Stated runtime budgets are asserted with wall-clock measurements.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import random
 import subprocess
@@ -41,7 +40,7 @@ from .helpers import (
     FIG8_6,
     TREFOIL5,
     UNKNOT2,
-    all_grids,
+    d_squared_suite,
     oracle_empty_rectangles,
     random_knot_grid,
     rect_key,
@@ -56,15 +55,6 @@ def run_cli(*args: str) -> subprocess.CompletedProcess:
         capture_output=True,
         timeout=540,
     )
-
-
-@functools.cache
-def d_squared_suite() -> tuple[tuple, tuple]:
-    """All valid grids with n <= 4, plus 200 seeded random grids with n in 5..7."""
-    small = tuple(G for n in (2, 3, 4) for G in all_grids(n))
-    rng = random.Random(0xD57)
-    big = tuple(random_grid(rng.choice((5, 6, 7)), rng) for _ in range(200))
-    return small, big
 
 
 def _minus_by_source(G) -> dict:

@@ -21,7 +21,14 @@ from gridfloer import (
     rectangles_from,
     tilde_targets,
 )
-from gridfloer.chain import MAX_PACKED_N, _empty_rectangle_sweep, _minus_terms_from
+from gridfloer.chain import (
+    MAX_PACKED_N,
+    _empty_rectangle_sweep,
+    _encode,
+    _minus_terms_from,
+    _two_a_bounds,
+    iter_alexander_levels,
+)
 
 from .helpers import (
     FIG8_6,
@@ -72,6 +79,44 @@ def test_bigrading_matches_pair_counting_oracle():
         want_m, want_a = oracle_bigrading(G, x)
         assert maslov(G, x) == want_m
         assert alexander(G, x) == want_a
+
+
+def _oracle_levels(G) -> list[tuple[int, dict[int, list[int]]]]:
+    """iter_alexander_levels rebuilt from permutations and the pair-counting oracle."""
+    buckets: dict = {}
+    for x in itertools.permutations(range(G.n)):
+        m, a = oracle_bigrading(G, x)
+        buckets.setdefault(int(2 * a), {}).setdefault(int(m), []).append(_encode(x))
+    return sorted(buckets.items())
+
+
+def _levels(G, min_two_a=None) -> list[tuple[int, dict[int, list[int]]]]:
+    return [
+        (two_a, {m: list(codes) for m, codes in levels.items()})
+        for two_a, levels in iter_alexander_levels(G, min_two_a)
+    ]
+
+
+def test_levels_match_permutation_oracle():
+    # Same 2A keys in increasing order, same Maslov buckets, and codes in
+    # lexicographic generator order within each bucket.
+    rng = random.Random(22)
+    grids = list(all_grids(3)) + [random_grid(n, rng) for n in (4, 4, 5, 5, 6, 7)]
+    for G in grids:
+        assert _levels(G) == _oracle_levels(G), G
+
+
+def test_min_two_a_keeps_exactly_the_levels_at_or_above_it():
+    rng = random.Random(23)
+    grids = [TREFOIL5, FIG8_6, TWIST7] + [random_grid(n, rng) for n in (2, 3, 4, 5, 6)]
+    for G in grids:
+        full = _levels(G)
+        lowest, highest = _two_a_bounds(G)
+        assert lowest <= full[0][0] and full[-1][0] <= highest
+        for floor in range(full[0][0] - 3, full[-1][0] + 4):
+            assert _levels(G, floor) == [lv for lv in full if lv[0] >= floor], (G, floor)
+        assert _levels(G, full[-1][0] + 1) == []
+        assert _levels(G, full[0][0] - 1) == full
 
 
 def test_rectangles_need_exactly_two_moved_columns():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import random
@@ -86,6 +87,36 @@ def test_batch_keeps_input_order_and_isolates_errors():
     assert blocks[2] == "genus: 1"
     assert blocks[6].startswith("error: NotAKnot:")
     assert "2 components" in blocks[6]
+
+
+@pytest.mark.parametrize("fmt", ["text", "records"])
+def test_unexpected_exception_is_reported_in_stream(monkeypatch, capsys, fmt):
+    # A bug in one entry must not kill the batch: the entry reports the
+    # exception by type, the other entries print, and the exit code is 2.
+    genus_handler = cli._HANDLERS["genus"]
+
+    def broken_on_hopf(G, opts):
+        if G == HOPF4:
+            raise ArithmeticError("synthetic negative rank")
+        return genus_handler(G, opts)
+
+    monkeypatch.setitem(cli._HANDLERS, "genus", broken_on_hopf)
+    batch = serialize_grid(TREFOIL5) + "\n" + serialize_grid(HOPF4)
+    monkeypatch.setattr("sys.stdin", io.StringIO(batch))
+    code = cli.run(["genus", "--format", fmt, "-"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert "Traceback" in err and "synthetic negative rank" in err
+    if fmt == "text":
+        assert out == "genus: 1\n\nerror: ArithmeticError: synthetic negative rank\n"
+    else:
+        first, second = [json.loads(line) for line in out.splitlines()]
+        assert first == {"verb": "genus", "n": 5, "genus": 1}
+        assert second == {
+            "verb": "genus",
+            "error": "synthetic negative rank",
+            "error_type": "ArithmeticError",
+        }
 
 
 def test_records_mode_emits_one_json_line_per_grid():

@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridfloer import (
     GridDiagram,
@@ -170,3 +172,10 @@ def test_random_grid_is_deterministic_per_seed():
 def test_random_grid_rejects_tiny_sizes():
     with pytest.raises(TooSmall):
         random_grid(1, random.Random(0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(min_value=2, max_value=12), seed=st.integers(min_value=0, max_value=2**64))
+def test_serialize_then_parse_is_the_identity(n, seed):
+    G = random_grid(n, random.Random(seed))
+    assert parse_grid(serialize_grid(G)) == G

@@ -16,6 +16,7 @@ from gridfloer import (
     random_grid,
     rectangles,
     tilde_targets,
+    top_alexander_level,
 )
 from gridfloer import chain
 from gridfloer.errors import NotDivisible
@@ -24,6 +25,7 @@ from gridfloer.gf2 import gf2_rank
 from .helpers import (
     FIG8_6,
     HOPF4,
+    KNOWN_GRIDS,
     TREFOIL5,
     UNKNOT2,
     all_grids,
@@ -90,6 +92,17 @@ def test_complex_bases_cover_all_generators():
     assert len(perms) == 120
     assert set(perms) == set(itertools.permutations(range(TREFOIL5.n)))
     assert all(a < b for a, b in zip(two_as, two_as[1:]))
+
+
+def test_top_alexander_level_is_the_top_of_the_full_table():
+    # Links too: the Hopf link's top level sits at a half-integer.
+    rng = random.Random(44)
+    grids = list(KNOWN_GRIDS) + list(all_grids(3)) + [random_grid(5, rng) for _ in range(10)]
+    for G in grids:
+        ranks = homology_ranks(G)
+        top = ranks.max_alexander()
+        want = {m: r for m, s, r in ranks.entries if s == top}
+        assert top_alexander_level(G) == (top, want), G
 
 
 def test_gf2_rank_matches_dense_elimination():

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -17,7 +18,12 @@ from gridfloer import (
     homology_ranks,
     is_fibered,
     is_unknot,
+    link_summary,
+    new_grid,
+    parse_grids,
+    top_alexander_level,
 )
+from gridfloer.chain import iter_alexander_levels
 from gridfloer.errors import NotAKnot
 
 from .helpers import (
@@ -29,10 +35,13 @@ from .helpers import (
     TWIST7,
     UNKNOT2,
     UNKNOT4,
+    d_squared_suite,
     oracle_torus_hfk,
     random_knot_grid,
     torus_grid,
 )
+
+GRIDS_DIR = Path(__file__).resolve().parent.parent / "grids"
 
 
 def test_unknot_grids():
@@ -122,10 +131,12 @@ def test_unknot_detection_routes_agree():
     rng = random.Random(61)
     grids = list(KNOWN_KNOTS) + [random_knot_grid(rng.randint(2, 5), rng) for _ in range(25)]
     for G in grids:
-        by_rank = is_unknot(G)
+        # Total rank 2^(n-1) reads the whole complex, independently of
+        # is_unknot, which reads only the top Alexander level.
+        by_rank = homology_ranks(G).total_rank() == 2 ** (G.n - 1)
         by_genus = genus(G) == 0
         by_alexander = alexander_polynomial(G) == {0: 1}
-        assert by_rank == by_genus
+        assert is_unknot(G) == by_rank == by_genus
         # Genus zero forces the trivial polynomial; the converse is the
         # classical failure mode of the Alexander polynomial alone.
         if by_genus:
@@ -158,6 +169,26 @@ def test_build_report_agrees_with_field_functions():
         assert report.is_fibered == is_fibered(G)
         assert dict(report.alexander) == alexander_polynomial(G)
         assert report.poincare.as_dict() == hfk_hat(G).as_dict()
+
+
+def test_top_down_detection_matches_the_full_report():
+    # The field functions rank only the top Alexander levels; build_report
+    # ranks every level.  The n = 6 knot has generators up to 2A = 2 but
+    # homology only up to A = 0, so its walk must go past empty levels.
+    small, big = d_squared_suite()
+    corpus = parse_grids((GRIDS_DIR / "corpus.grids").read_text(encoding="utf-8"))
+    deep = new_grid(6, (4, 3, 5, 1, 0, 2), (2, 1, 0, 5, 4, 3))
+    assert max(two_a for two_a, _ in iter_alexander_levels(deep)) == 2
+    grids = [G for G in small + big + tuple(corpus) if link_summary(G).component_count == 1]
+    assert len(grids) > 100
+    for G in grids + [deep]:
+        report = build_report(G)
+        assert (genus(G), is_fibered(G), is_unknot(G)) == (
+            report.genus,
+            report.is_fibered,
+            report.is_unknot,
+        ), G
+    assert top_alexander_level(deep) == (Fraction(0), {0: 1})
 
 
 def test_report_record_is_json_ready():
