@@ -63,6 +63,7 @@ from .grid import (
 from .homology import (
     BigradedRanks,
     homology_ranks,
+    knot_hfk_ranks,
     peel_v,
     top_alexander_level,
 )
@@ -126,6 +127,7 @@ __all__ = [
     "successor_permutation",
     "BigradedRanks",
     "homology_ranks",
+    "knot_hfk_ranks",
     "peel_v",
     "top_alexander_level",
     "KnotReport",

@@ -13,6 +13,7 @@ the input).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -31,11 +32,13 @@ from .verify import run_checks
 
 __all__ = ["run", "main"]
 
-# Verbs that enumerate generators of the n!-generator complex and so honor
-# the --max-n guard.
+# Verbs that compute homology, at a cost exponential in n, and so honor the
+# --max-n guard.  Of these, only FULL_COMPLEX_VERBS enumerate all n!
+# generators on every grid; the knot verbs rank only some Alexander levels.
 EXPENSIVE_VERBS = frozenset(
     {"homology", "hfk", "unknot", "genus", "fibered", "alexander", "verify"}
 )
+FULL_COMPLEX_VERBS = frozenset({"homology", "verify"})
 
 Entry = tuple[int, list[str], dict]
 
@@ -204,9 +207,11 @@ def _process_entry(payload: tuple[str, GridDiagram, dict]) -> Entry:
             if G.n > MAX_PACKED_N:
                 raise GridTooLarge(f"grid size {G.n} exceeds the packing limit {MAX_PACKED_N}")
             if G.n > opts["max_n"]:
+                growth = ""
+                if verb in FULL_COMPLEX_VERBS:
+                    growth = f" (the complex has n! = {factorial(G.n)} generators)"
                 raise GridTooLarge(
-                    f"grid size {G.n} exceeds --max-n {opts['max_n']}"
-                    f" (the complex has n! = {factorial(G.n)} generators);"
+                    f"grid size {G.n} exceeds --max-n {opts['max_n']}{growth};"
                     f" pass --max-n {G.n} to force"
                 )
         return _HANDLERS[verb](G, opts)
@@ -276,8 +281,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=10,
         dest="max_n",
         metavar="N",
-        help="refuse generator-enumerating verbs above this grid size"
-        " (the complex has n! generators)",
+        help="refuse the homology verbs above this grid size (default 10);"
+        " their cost grows exponentially with n, and homology, verify and hfk"
+        " on a link enumerate all n! generators",
     )
     parser = _Parser(
         prog="gridfloer",
@@ -320,10 +326,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call: building it costs about 2 ms."""
+    return build_parser()
+
+
 def run(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         code = exc.code
         if code is None:

@@ -12,7 +12,12 @@ detection read.
 The homology of the fully collapsed complex is not yet the link invariant:
 it carries n - l extra tensor factors V (l the number of link components),
 each V contributing one generator in bidegree (0, 0) and one in (-1, -1).
-``peel_v`` divides them back out of the rank polynomial, exactly.
+``peel_v`` divides them back out of the rank polynomial, exactly.  For a
+knot, ``knot_hfk_ranks`` needs only the levels with A >= 0: V never raises
+A, so those levels peel from the top down, and the symmetry of knot Floer
+homology under (m, s) -> (m - 2s, -s) gives the rest.  Collapsed link
+homology has no such symmetry, so links go through ``homology_ranks`` and
+``peel_v``.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from typing import Mapping
 
 from .chain import _decode, _tilde_target_codes, _two_a_bounds, iter_alexander_levels
@@ -27,7 +33,13 @@ from .errors import NotDivisible
 from .gf2 import gf2_rank
 from .grid import GridDiagram
 
-__all__ = ["BigradedRanks", "homology_ranks", "peel_v", "top_alexander_level"]
+__all__ = [
+    "BigradedRanks",
+    "homology_ranks",
+    "knot_hfk_ranks",
+    "peel_v",
+    "top_alexander_level",
+]
 
 
 def _as_fraction(s) -> Fraction:
@@ -161,6 +173,40 @@ def homology_ranks(G: GridDiagram) -> BigradedRanks:
         for m, h in _level_ranks(G, two_a, levels).items():
             ranks[(m, s)] = h
     return BigradedRanks.from_dict(ranks)
+
+
+def knot_hfk_ranks(G: GridDiagram) -> BigradedRanks:
+    """Hat-flavor knot Floer homology of a knot, from the levels A >= 0 only.
+
+    The collapsed ranks are HFK-hat times (1 + t^-1 q^-1) ** (n - 1), so
+    tilde(m, s) = sum over j of C(n - 1, j) H(m + j, s + j): with the levels
+    above s known, H(m, s) is tilde(m, s) minus the terms j >= 1.  Levels
+    are peeled from the top down to s = 0, and each H(m, s) with s > 0 is
+    mirrored to (m - 2s, -s).  A negative H raises NotDivisible.  The
+    caller checks that G is a knot: the symmetry fails for links.
+    """
+    tilde = {
+        two_a: _level_ranks(G, two_a, levels) for two_a, levels in iter_alexander_levels(G, 0)
+    }
+    weights = [comb(G.n - 1, j) for j in range(1, G.n)]
+    hat: dict[tuple[int, Fraction], int] = {}
+    owed: dict[int, dict[int, int]] = {}  # 2A -> {m: the terms j >= 1 found so far}
+    for two_a in range(max(tilde, default=-1), -1, -2):
+        ranks, above = tilde.get(two_a, {}), owed.pop(two_a, {})
+        s = Fraction(two_a, 2)
+        for m in ranks.keys() | above.keys():
+            h = ranks.get(m, 0) - above.get(m, 0)
+            if h < 0:
+                raise NotDivisible(f"negative quotient {h} at (m, s) = ({m}, {s})")
+            if not h:
+                continue
+            hat[(m, s)] = hat[(m - two_a, -s)] = h
+            for j, weight in enumerate(weights, 1):
+                below = owed.setdefault(two_a - 2 * j, {})
+                below[m - j] = below.get(m - j, 0) + weight * h
+    if not hat:
+        raise ArithmeticError("knot Floer homology is zero; differential inconsistent")
+    return BigradedRanks.from_dict(hat)
 
 
 def top_alexander_level(G: GridDiagram) -> tuple[Fraction, dict[int, int]]:

@@ -7,6 +7,12 @@ homology is the Seifert genus, rank one there detects fiberedness, and its
 graded Euler characteristic is the Alexander polynomial.  Coefficients are
 GF(2) throughout, so genus and fiberedness are delivered by the mod-2
 versions of those detection theorems.
+
+Three routes read the homology.  Genus, fiberedness and unknot detection
+rank only the top Alexander levels (``top_alexander_level``).  The knot
+Floer table of a knot, its Alexander polynomial and the knot report rank
+the levels with A >= 0 (``knot_hfk_ranks``).  A link's table ranks every
+level and divides out the V factors (``homology_ranks`` and ``peel_v``).
 """
 
 from __future__ import annotations
@@ -15,7 +21,13 @@ from dataclasses import dataclass
 
 from .errors import NotAKnot
 from .grid import GridDiagram, link_summary
-from .homology import BigradedRanks, homology_ranks, peel_v, top_alexander_level
+from .homology import (
+    BigradedRanks,
+    homology_ranks,
+    knot_hfk_ranks,
+    peel_v,
+    top_alexander_level,
+)
 from .laurent import symmetric_normalized
 
 __all__ = [
@@ -35,14 +47,16 @@ def _require_knot(G: GridDiagram, what: str) -> None:
         raise NotAKnot(f"{what} needs a knot; this grid has {count} components")
 
 
-def _peeled(G: GridDiagram, ranks: BigradedRanks) -> BigradedRanks:
-    components = link_summary(G).component_count
-    return peel_v(ranks, G.n - components)
-
-
 def hfk_hat(G: GridDiagram) -> BigradedRanks:
-    """Hat-flavor knot (or link) Floer homology ranks, V factors divided out."""
-    return _peeled(G, homology_ranks(G))
+    """Hat-flavor knot (or link) Floer homology ranks, V factors divided out.
+
+    A knot's table comes from its levels A >= 0 alone; a link's from the
+    whole collapsed complex.
+    """
+    components = link_summary(G).component_count
+    if components == 1:
+        return knot_hfk_ranks(G)
+    return peel_v(homology_ranks(G), G.n - components)
 
 
 def genus(G: GridDiagram) -> int:
@@ -85,11 +99,11 @@ def is_fibered(G: GridDiagram) -> bool:
 def alexander_polynomial(G: GridDiagram) -> dict[int, int]:
     """Alexander polynomial of a knot as exponent -> coefficient.
 
-    Graded Euler characteristic of the peeled homology, normalized to the
-    palindromic representative with positive value at 1.
+    Graded Euler characteristic of the knot Floer homology, normalized to
+    the palindromic representative with positive value at 1.
     """
     _require_knot(G, "the Alexander polynomial")
-    return _alexander_from_ranks(hfk_hat(G))
+    return _alexander_from_ranks(knot_hfk_ranks(G))
 
 
 def _alexander_from_ranks(ranks: BigradedRanks) -> dict[int, int]:
@@ -106,7 +120,8 @@ class KnotReport:
     """Every knot invariant this package computes, from one homology run.
 
     ``alexander`` is the polynomial as sorted (exponent, coefficient) pairs;
-    ``total_rank`` is the collapsed homology rank before V peeling.
+    ``total_rank`` is the collapsed homology rank before V peeling, which
+    is the knot Floer rank times 2^(n-1).
     """
 
     n: int
@@ -133,20 +148,19 @@ class KnotReport:
 
 
 def build_report(G: GridDiagram) -> KnotReport:
-    """Compute the homology once and derive all knot invariants from it."""
+    """Compute the knot Floer homology once and derive all knot invariants from it."""
     _require_knot(G, "the knot report")
-    ranks = homology_ranks(G)
-    peeled = _peeled(G, ranks)
-    top = peeled.max_alexander()
+    hat = knot_hfk_ranks(G)
+    top = hat.max_alexander()
     assert top.denominator == 1, "knot gradings are integers"
-    alex = _alexander_from_ranks(peeled)
+    alex = _alexander_from_ranks(hat)
     return KnotReport(
         n=G.n,
         components=1,
-        total_rank=ranks.total_rank(),
-        poincare=peeled,
+        total_rank=hat.total_rank() * 2 ** (G.n - 1),
+        poincare=hat,
         genus=int(top),
-        is_unknot=ranks.total_rank() == 2 ** (G.n - 1),
-        is_fibered=peeled.rank_at_alexander(top) == 1,
+        is_unknot=hat.total_rank() == 1,
+        is_fibered=hat.rank_at_alexander(top) == 1,
         alexander=tuple(sorted(alex.items())),
     )

@@ -25,6 +25,9 @@ FIG8_6 = new_grid(6, (0, 2, 1, 4, 3, 5), (4, 5, 3, 2, 0, 1))
 TORUS25_7 = new_grid(7, (2, 3, 4, 5, 6, 0, 1), (0, 1, 2, 3, 4, 5, 6))
 TWIST7 = new_grid(7, (0, 2, 3, 1, 4, 6, 5), (3, 4, 5, 6, 0, 2, 1))
 HOPF4 = new_grid(4, (2, 3, 0, 1), (0, 1, 2, 3))
+# A knot whose generators reach 2A = 2 but whose homology tops out at A = 0,
+# so a walk from the top generator level must go past empty levels.
+DEEP6 = new_grid(6, (4, 3, 5, 1, 0, 2), (2, 1, 0, 5, 4, 3))
 
 KNOWN_KNOTS = (UNKNOT2, UNKNOT4, TREFOIL5, FIG8_6, TORUS25_7, TWIST7)
 KNOWN_GRIDS = KNOWN_KNOTS + (HOPF4,)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import io
 import json
 import os
@@ -11,6 +12,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridfloer import cli, homology_ranks, parse_grid, random_grid, serialize_grid
 
@@ -135,6 +138,18 @@ def test_max_n_guard_names_the_growth():
     assert "error: GridTooLarge:" in done.stdout
     assert "5040" in done.stdout
     assert "--max-n 7" in done.stdout
+
+
+def test_max_n_guard_on_knot_verbs_gives_size_and_force():
+    # These verbs rank only some Alexander levels of a knot, so the refusal
+    # does not quote n!.
+    G = parse_grid((GRIDS_DIR / "torus25_7.grid").read_text(encoding="utf-8"))
+    for verb in ("hfk", "alexander", "unknot", "genus", "fibered"):
+        code, lines, _ = cli._process_entry((verb, G, {"max_n": 6}))
+        assert code == 1
+        assert lines == [
+            "error: GridTooLarge: grid size 7 exceeds --max-n 6; pass --max-n 7 to force"
+        ]
 
 
 def test_packing_limit_is_reported_in_stream():
@@ -299,3 +314,55 @@ def test_process_entry_happy_path():
     assert code == 0
     assert record["verb"] == "hfk"
     assert lines[0] == "n: 4"
+
+
+def _run_in_process(argv: list[str], stdin: str) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    saved = sys.stdin
+    sys.stdin = io.StringIO(stdin)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.run(argv)
+    finally:
+        sys.stdin = saved
+    return code, out.getvalue(), err.getvalue()
+
+
+_grid_texts = st.builds(
+    lambda n, seed: serialize_grid(random_grid(n, random.Random(seed))),
+    st.integers(min_value=2, max_value=6),
+    st.integers(min_value=0, max_value=2**32),
+)
+
+
+@st.composite
+def _mangled(draw) -> str:
+    """A grid text with a few characters inserted, deleted or replaced."""
+    text = draw(_grid_texts)
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        i = draw(st.integers(min_value=0, max_value=len(text)))
+        ch = draw(st.sampled_from("0123456789,=-nOX# \n"))
+        kind = draw(st.sampled_from(("insert", "delete", "replace")))
+        if kind == "insert":
+            text = text[:i] + ch + text[i:]
+        else:
+            text = text[:i] + (ch if kind == "replace" else "") + text[i + 1 :]
+    return text
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    verb=st.sampled_from(
+        ("validate", "info", "homology", "hfk", "alexander", "unknot", "genus", "fibered")
+    ),
+    fmt=st.sampled_from(("text", "records")),
+    stdin=st.one_of(
+        st.lists(_grid_texts, min_size=1, max_size=3).map("\n".join),
+        _mangled(),
+        st.text(max_size=30),
+    ),
+)
+def test_cli_fuzz_never_raises_and_exits_zero_or_one(verb, fmt, stdin):
+    code, out, err = _run_in_process([verb, "--format", fmt, "-"], stdin)
+    assert "Traceback" not in err
+    assert code in (0, 1)

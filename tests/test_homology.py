@@ -5,33 +5,40 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from gridfloer import (
     BigradedRanks,
     homology_ranks,
+    knot_hfk_ranks,
     link_summary,
+    parse_grids,
     peel_v,
     random_grid,
     rectangles,
     tilde_targets,
     top_alexander_level,
 )
-from gridfloer import chain
+from gridfloer import chain, homology
 from gridfloer.errors import NotDivisible
 from gridfloer.gf2 import gf2_rank
 
 from .helpers import (
+    DEEP6,
     FIG8_6,
     HOPF4,
     KNOWN_GRIDS,
     TREFOIL5,
     UNKNOT2,
     all_grids,
+    d_squared_suite,
     dense_rank,
     oracle_homology,
 )
+
+GRIDS_DIR = Path(__file__).resolve().parent.parent / "grids"
 
 
 def test_unknot2_homology_table():
@@ -103,6 +110,33 @@ def test_top_alexander_level_is_the_top_of_the_full_table():
         top = ranks.max_alexander()
         want = {m: r for m, s, r in ranks.entries if s == top}
         assert top_alexander_level(G) == (top, want), G
+
+
+def test_knot_hfk_ranks_match_the_full_walk():
+    # knot_hfk_ranks ranks only the levels with 2A >= 0 and mirrors them;
+    # homology_ranks ranks every level and peel_v divides the V factors out.
+    small, big = d_squared_suite()
+    corpus = parse_grids((GRIDS_DIR / "corpus.grids").read_text(encoding="utf-8"))
+    grids = small + big + tuple(corpus) + (DEEP6,)
+    knots = [G for G in grids if link_summary(G).component_count == 1]
+    assert len(knots) > 100
+    v = BigradedRanks.v_factor()
+    for G in knots:
+        full = homology_ranks(G)
+        hat = knot_hfk_ranks(G)
+        assert hat == peel_v(full, G.n - 1), G
+        collapsed = hat
+        for _ in range(G.n - 1):
+            collapsed = collapsed * v
+        assert collapsed == full, G
+
+
+def test_knot_hfk_ranks_reject_a_table_that_does_not_peel(monkeypatch):
+    # Rank 2 at (m, s) = (2, 1) owes C(4, 1) * 2 = 8 at (1, 0), which holds 1.
+    fake = {2: {2: 2}, 0: {1: 1}}
+    monkeypatch.setattr(homology, "_level_ranks", lambda G, two_a, levels: fake.get(two_a, {}))
+    with pytest.raises(NotDivisible):
+        knot_hfk_ranks(TREFOIL5)
 
 
 def test_gf2_rank_matches_dense_elimination():

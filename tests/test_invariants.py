@@ -19,7 +19,6 @@ from gridfloer import (
     is_fibered,
     is_unknot,
     link_summary,
-    new_grid,
     parse_grids,
     top_alexander_level,
 )
@@ -27,6 +26,7 @@ from gridfloer.chain import iter_alexander_levels
 from gridfloer.errors import NotAKnot
 
 from .helpers import (
+    DEEP6,
     FIG8_6,
     HOPF4,
     KNOWN_KNOTS,
@@ -96,7 +96,7 @@ def test_torus_knot_hfk_matches_staircase_oracle():
         (1, Fraction(0)): 1,
         (2, Fraction(1)): 1,
     }
-    for p, q in ((2, 3), (2, 5), (3, 4), (3, 5)):
+    for p, q in ((2, 3), (2, 5), (3, 4), (3, 5), (2, 7), (4, 5)):
         assert hfk_hat(torus_grid(p, q)).as_dict() == oracle_torus_hfk(p, q), (p, q)
 
 
@@ -173,22 +173,22 @@ def test_build_report_agrees_with_field_functions():
 
 def test_top_down_detection_matches_the_full_report():
     # The field functions rank only the top Alexander levels; build_report
-    # ranks every level.  The n = 6 knot has generators up to 2A = 2 but
-    # homology only up to A = 0, so its walk must go past empty levels.
+    # ranks every level with A >= 0.  The n = 6 knot has generators up to
+    # 2A = 2 but homology only up to A = 0, so its walk must go past empty
+    # levels.
     small, big = d_squared_suite()
     corpus = parse_grids((GRIDS_DIR / "corpus.grids").read_text(encoding="utf-8"))
-    deep = new_grid(6, (4, 3, 5, 1, 0, 2), (2, 1, 0, 5, 4, 3))
-    assert max(two_a for two_a, _ in iter_alexander_levels(deep)) == 2
+    assert max(two_a for two_a, _ in iter_alexander_levels(DEEP6)) == 2
     grids = [G for G in small + big + tuple(corpus) if link_summary(G).component_count == 1]
     assert len(grids) > 100
-    for G in grids + [deep]:
+    for G in grids + [DEEP6]:
         report = build_report(G)
         assert (genus(G), is_fibered(G), is_unknot(G)) == (
             report.genus,
             report.is_fibered,
             report.is_unknot,
         ), G
-    assert top_alexander_level(deep) == (Fraction(0), {0: 1})
+    assert top_alexander_level(DEEP6) == (Fraction(0), {0: 1})
 
 
 def test_report_record_is_json_ready():
