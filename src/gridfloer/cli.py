@@ -45,6 +45,9 @@ Entry = tuple[int, list[str], dict]
 # What the NotAKnot error names on a link, the same for every knot verb.
 KNOT_VERBS_NAME = "the knot report"
 
+# Largest grid the random verb emits; its output and memory grow with the size.
+MAX_RANDOM_SIZE = 1000
+
 
 def _ranks_lines(ranks: BigradedRanks) -> list[str]:
     return [f"m={m} s={s} rank={r}" for m, s, r in ranks.entries]
@@ -321,7 +324,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="shift count (cyclic), pair index (commute), or column (stabilize)",
     )
     rnd = add("random", "emit a random valid grid", with_path=False)
-    rnd.add_argument("--size", type=int, required=True, metavar="N")
+    rnd.add_argument(
+        "--size",
+        type=int,
+        required=True,
+        metavar="N",
+        help=f"grid size, 2 to {MAX_RANDOM_SIZE}",
+    )
     rnd.add_argument("--seed", type=int, default=0, metavar="S")
     return parser
 
@@ -348,6 +357,9 @@ def run(argv: list[str] | None = None) -> int:
         return 1
 
     if args.verb == "random":
+        if args.size > MAX_RANDOM_SIZE:
+            sys.stderr.write(f"error: --size {args.size} exceeds the limit {MAX_RANDOM_SIZE}\n")
+            return 1
         try:
             G = random_grid(args.size, random.Random(args.seed))
         except GridError as err:

@@ -11,8 +11,10 @@ The index of a domain D is
 
 where e is the Euler measure, n_p the average multiplicity of the four cells
 touching the lattice point p, and points shared by x and y enter twice (once
-per generator).  On a grid every cell is a square, so e vanishes and the
-index is a sum of quarter-integers.
+per generator).  On a grid every cell is a square, so e vanishes and 4·mu
+is an integer: over the 2n points, the sum of the multiplicities of the
+four cells around each.  It is computed as that integer and divided by 4
+once, in the ``Fraction`` each public function returns.
 """
 
 from __future__ import annotations
@@ -59,20 +61,19 @@ class GridDomain:
         m = self.multiplicities
         if len(m) != n or any(len(col) != n for col in m):
             raise BoundaryMismatch(f"multiplicity table must be {n}x{n}")
-        src = set(enumerate(self.source))
-        tgt = set(enumerate(self.target))
         # Net boundary coefficient on the horizontal segment (c,j)->(c+1,j) is
-        # m[c][j] - m[c][j-1]; its endpoints must account for exactly the
-        # generator points, target positive and source negative.
-        for j in range(n):
-            for c in range(n):
-                g_left = m[(c - 1) % n][j] - m[(c - 1) % n][(j - 1) % n]
-                g_here = m[c][j] - m[c][(j - 1) % n]
-                expected = int((c, j) in tgt) - int((c, j) in src)
-                if g_left - g_here != expected:
-                    raise BoundaryMismatch(
-                        f"boundary defect {g_left - g_here - expected} at lattice point ({c}, {j})"
-                    )
+        # g[c][j] = m[c][j] - m[c][j-1]; at each lattice point (c, j) the
+        # segments ending and starting there, g[c-1][j] - g[c][j], must
+        # account for exactly the generator points, target positive and
+        # source negative.  Negative indices wrap around the torus.
+        g = [[a - b for a, b in zip(col, col[-1:] + col[:-1])] for col in m]
+        defect = [[a - b for a, b in zip(g[c - 1], g[c])] for c in range(n)]
+        for c in range(n):
+            defect[c][self.target[c]] -= 1
+            defect[c][self.source[c]] += 1
+        if any(any(col) for col in defect):
+            j, c = min((j, c) for c in range(n) for j in range(n) if defect[c][j])
+            raise BoundaryMismatch(f"boundary defect {defect[c][j]} at lattice point ({c}, {j})")
 
     @property
     def n(self) -> int:
@@ -82,10 +83,13 @@ class GridDomain:
 def from_rectangle(rect: Rectangle) -> GridDomain:
     """The domain of multiplicity one on a rectangle's cells."""
     n = rect.n
-    mult = [[0] * n for _ in range(n)]
-    for c, r in rect.cells():
-        mult[c][r] = 1
-    return GridDomain(rect.source, rect.target, tuple(tuple(col) for col in mult))
+    rows = {(rect.r1 + j) % n for j in range(rect.height)}
+    inside = tuple(int(r in rows) for r in range(n))
+    outside = (0,) * n
+    cols = {(rect.c1 + i) % n for i in range(rect.width)}
+    return GridDomain(
+        rect.source, rect.target, tuple(inside if c in cols else outside for c in range(n))
+    )
 
 
 def add_domains(first: GridDomain, second: GridDomain) -> GridDomain:
@@ -100,6 +104,29 @@ def add_domains(first: GridDomain, second: GridDomain) -> GridDomain:
     return GridDomain(first.source, second.target, mult)
 
 
+# A cell is a square: four corners, each a quarter right angle.
+_CORNERS_PER_CELL = 4
+
+
+def _four_euler(D: GridDomain) -> int:
+    """4·e(D): each cell contributes 4·(1 - corners/4) times its multiplicity."""
+    return (4 - _CORNERS_PER_CELL) * sum(map(sum, D.multiplicities))
+
+
+def _four_n(m: tuple[tuple[int, ...], ...], n: int, c: int, r: int) -> int:
+    """4·n_p: the sum of the four cell multiplicities around lattice point (c, r)."""
+    here, left = m[c % n], m[(c - 1) % n]
+    r %= n
+    return here[r] + left[r] + here[r - 1] + left[r - 1]
+
+
+def _four_total_N(D: GridDomain) -> int:
+    m, n = D.multiplicities, D.n
+    return sum(_four_n(m, n, c, r) for c, r in enumerate(D.source)) + sum(
+        _four_n(m, n, c, r) for c, r in enumerate(D.target)
+    )
+
+
 def euler_measure(D: GridDomain) -> Fraction:
     """Euler measure e(D).
 
@@ -108,23 +135,12 @@ def euler_measure(D: GridDomain) -> Fraction:
     grid domain.  Computed, not assumed, so the index formula below reads as
     written.
     """
-    per_cell = 1 - Fraction(4, 4)
-    return per_cell * sum(m for col in D.multiplicities for m in col)
+    return Fraction(_four_euler(D), 4)
 
 
 def point_multiplicity(D: GridDomain, c: int, r: int) -> Fraction:
     """Average multiplicity n_p of the four cells around lattice point (c, r)."""
-    n = D.n
-    m = D.multiplicities
-    c %= n
-    r %= n
-    total = (
-        m[c][r]
-        + m[(c - 1) % n][r]
-        + m[c][(r - 1) % n]
-        + m[(c - 1) % n][(r - 1) % n]
-    )
-    return Fraction(total, 4)
+    return Fraction(_four_n(D.multiplicities, D.n, c, r), 4)
 
 
 def vertex_multiplicity(D: GridDomain, point: tuple[int, int]) -> Fraction:
@@ -144,12 +160,7 @@ def total_N(D: GridDomain) -> Fraction:
 
     Points shared by both generators count twice, once per generator.
     """
-    total = Fraction(0)
-    for c, r in enumerate(D.source):
-        total += point_multiplicity(D, c, r)
-    for c, r in enumerate(D.target):
-        total += point_multiplicity(D, c, r)
-    return total
+    return Fraction(_four_total_N(D), 4)
 
 
 def maslov_index(D: GridDomain) -> Fraction:
@@ -159,4 +170,4 @@ def maslov_index(D: GridDomain) -> Fraction:
     rectangle raises it by 2 (its four full quadrants enter through both the
     source copy and the target copy).
     """
-    return euler_measure(D) + total_N(D)
+    return Fraction(_four_euler(D) + _four_total_N(D), 4)

@@ -4,9 +4,11 @@ The oracles recompute what the package computes, by deliberately different
 routes: gradings by literal southwest pair counting over weighted point
 sets, rectangles by exhaustive enumeration of all n^4 corner choices,
 components by union-find over link segments, homology by a dense
-Gaussian elimination pipeline built only on those oracles, and the knot
+Gaussian elimination pipeline built only on those oracles, the knot
 Floer homology of torus knots by a closed form that needs no complex at
-all.  Agreement between a fast path and its oracle is evidence for both.
+all, the winding-number determinant by expansion over permutations, and
+domain boundaries by the original per-point loop.  Agreement between a
+fast path and its oracle is evidence for both.
 """
 
 from __future__ import annotations
@@ -16,7 +18,8 @@ import itertools
 import random
 from fractions import Fraction
 
-from gridfloer import GridDiagram, link_summary, new_grid, random_grid
+from gridfloer import GridDiagram, link_summary, new_grid, random_grid, winding_matrix
+from gridfloer.errors import BoundaryMismatch
 
 UNKNOT2 = new_grid(2, (1, 0), (0, 1))
 UNKNOT4 = new_grid(4, (1, 2, 3, 0), (0, 1, 2, 3))
@@ -276,6 +279,23 @@ def _poly_div_exact(num: list[int], den: list[int]) -> list[int]:
     return quot
 
 
+def _torus_delta(p: int, q: int) -> list[int]:
+    """(t^pq - 1)(t - 1) / ((t^p - 1)(t^q - 1)), lowest degree first."""
+
+    def t_power_minus_one(e: int) -> list[int]:
+        return [-1] + [0] * (e - 1) + [1]
+
+    num = _poly_mul(t_power_minus_one(p * q), t_power_minus_one(1))
+    return _poly_div_exact(num, _poly_mul(t_power_minus_one(p), t_power_minus_one(q)))
+
+
+def oracle_torus_alexander(p: int, q: int) -> dict[int, int]:
+    """The Alexander polynomial of T(p, q) from the closed form, centred on t^0."""
+    delta = _torus_delta(p, q)
+    centre = (len(delta) - 1) // 2
+    return {e - centre: c for e, c in enumerate(delta) if c}
+
+
 def oracle_torus_hfk(p: int, q: int) -> dict[tuple[int, Fraction], int]:
     """HFK-hat of T(p, q) in the grading convention of ``torus_grid``.
 
@@ -286,11 +306,7 @@ def oracle_torus_hfk(p: int, q: int) -> dict[tuple[int, Fraction], int]:
     These grids present the mirror of that staircase, (m, s) -> (-m, -s).
     """
 
-    def t_power_minus_one(e: int) -> list[int]:
-        return [-1] + [0] * (e - 1) + [1]
-
-    num = _poly_mul(t_power_minus_one(p * q), t_power_minus_one(1))
-    delta = _poly_div_exact(num, _poly_mul(t_power_minus_one(p), t_power_minus_one(q)))
+    delta = _torus_delta(p, q)
     exps = [e for e in range(len(delta) - 1, -1, -1) if delta[e]]
     assert [delta[e] for e in exps] == [(-1) ** k for k in range(len(exps))], "not a staircase"
     maslov = [0]
@@ -301,3 +317,54 @@ def oracle_torus_hfk(p: int, q: int) -> dict[tuple[int, Fraction], int]:
             maslov.append(maslov[-1] - 1)
     centre = (len(delta) - 1) // 2
     return {(-m, Fraction(centre - e)): 1 for m, e in zip(maslov, exps)}
+
+
+# -- winding determinant oracle -----------------------------------------------
+
+
+def oracle_determinant(w: list[list[int]]) -> dict[int, int]:
+    """det(q^{w[c][r]}) as exponent -> coefficient, by the Leibniz expansion.
+
+    One signed monomial per permutation, the sign from the inversion count.
+    """
+    n = len(w)
+    det: dict[int, int] = {}
+    for perm in itertools.permutations(range(n)):
+        e = sum(w[c][perm[c]] for c in range(n))
+        inversions = sum(1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j])
+        det[e] = det.get(e, 0) + (-1 if inversions & 1 else 1)
+    return {e: c for e, c in det.items() if c}
+
+
+def oracle_winding_determinant(G: GridDiagram) -> dict[int, int]:
+    """The raw winding determinant of G, before division by (1 - q)^(n-1)."""
+    return oracle_determinant(winding_matrix(G))
+
+
+# -- domain boundary oracle ---------------------------------------------------
+
+
+def oracle_check_domain(source, target, multiplicities) -> None:
+    """The boundary check of a grid domain, one lattice point at a time.
+
+    Raises BoundaryMismatch exactly when ``GridDomain(source, target,
+    multiplicities)`` must, with the same message: the first defect in
+    row-major order (row j outer, column c inner).
+    """
+    m = tuple(tuple(col) for col in multiplicities)
+    n = len(source)
+    if sorted(source) != list(range(n)) or sorted(target) != list(range(n)):
+        raise BoundaryMismatch("source and target must be permutations of 0..n-1")
+    if len(m) != n or any(len(col) != n for col in m):
+        raise BoundaryMismatch(f"multiplicity table must be {n}x{n}")
+    src = set(enumerate(source))
+    tgt = set(enumerate(target))
+    for j in range(n):
+        for c in range(n):
+            g_left = m[(c - 1) % n][j] - m[(c - 1) % n][(j - 1) % n]
+            g_here = m[c][j] - m[c][(j - 1) % n]
+            expected = int((c, j) in tgt) - int((c, j) in src)
+            if g_left - g_here != expected:
+                raise BoundaryMismatch(
+                    f"boundary defect {g_left - g_here - expected} at lattice point ({c}, {j})"
+                )

@@ -9,6 +9,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -264,6 +265,27 @@ def test_random_records_form():
     record = json.loads(done.stdout)
     assert record["seed"] == 9
     assert sorted(record["grid"]) == ["O", "X", "n"]
+
+
+def test_random_size_above_the_cap_is_refused_before_any_work(monkeypatch, capsys):
+    def must_not_run(*args):
+        raise AssertionError("work started past the size cap")
+
+    monkeypatch.setattr(cli, "random_grid", must_not_run)
+    monkeypatch.setattr(cli, "Pool", must_not_run)
+    start = time.perf_counter()
+    code = cli.run(["random", "--size", "1000000000000"])
+    assert time.perf_counter() - start < 0.5
+    assert code == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: --size 1000000000000 exceeds the limit {cli.MAX_RANDOM_SIZE}\n"
+    assert cli.run(["random", "--size", str(cli.MAX_RANDOM_SIZE + 1)]) == 1
+
+
+def test_random_size_at_the_cap_is_emitted(capsys):
+    assert cli.run(["random", "--size", str(cli.MAX_RANDOM_SIZE), "--seed", "5"]) == 0
+    assert parse_grid(capsys.readouterr().out).n == cli.MAX_RANDOM_SIZE
 
 
 def test_parse_failures_exit_one_with_line_number():

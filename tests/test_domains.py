@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -22,7 +23,7 @@ from gridfloer import (
 )
 from gridfloer.errors import BoundaryMismatch, PointNotCorner
 
-from .helpers import TREFOIL5
+from .helpers import TREFOIL5, all_grids, oracle_check_domain
 
 
 def _empty_rect(G, rng):
@@ -146,6 +147,7 @@ def test_index_is_additive_under_composition():
         mu1 = maslov_index(from_rectangle(first))
         mu2 = maslov_index(from_rectangle(second))
         assert maslov_index(combined) == mu1 + mu2
+        assert type(maslov_index(combined)) is Fraction
         hits += 1
 
 
@@ -165,3 +167,83 @@ def test_euler_measure_vanishes_on_grid_domains():
         x = tuple(rng.sample(range(G.n), G.n))
         for r in rectangles_from(G, x):
             assert euler_measure(from_rectangle(r)) == 0
+
+
+def _points_inside(r) -> int:
+    """Generator points strictly inside a rectangle, counted from its corners."""
+    n = r.n
+    return sum(
+        1
+        for c, row in enumerate(r.source)
+        if 0 < (c - r.c1) % n < r.width and 0 < (row - r.r1) % n < r.height
+    )
+
+
+def test_index_is_one_plus_twice_the_points_inside():
+    # Every rectangle of every n = 3 grid, and sampled rectangles of n = 6 grids.
+    rects = [r for G in all_grids(3) for x in itertools.permutations(range(3))
+             for r in rectangles_from(G, x)]
+    rng = random.Random(40)
+    for _ in range(6):
+        G = random_grid(6, rng)
+        for _ in range(10):
+            rects += rng.sample(list(rectangles_from(G, tuple(rng.sample(range(6), 6)))), 8)
+    assert any(_points_inside(r) > 1 for r in rects)
+    for r in rects:
+        mu = maslov_index(from_rectangle(r))
+        assert type(mu) is Fraction
+        assert mu == 1 + 2 * _points_inside(r)
+
+
+def _random_table(rng: random.Random, n: int, x: tuple, y: tuple):
+    """A table of cell multiplicities that is often, not always, a domain from x to y.
+
+    Either the cells of a rectangle with source x, or whole columns or whole
+    rows of cells (periodic domains, whose boundary misses the horizontal
+    circles); then, half the time, one cell changed.
+    """
+    m = [[0] * n for _ in range(n)]
+    if x != y and rng.random() < 0.7:
+        c1, c2 = rng.sample(range(n), 2)
+        for i in range((c2 - c1) % n):
+            for j in range((x[c2] - x[c1]) % n):
+                m[(c1 + i) % n][(x[c1] + j) % n] = 1
+    else:
+        heights = [rng.choice((-1, 0, 0, 1)) for _ in range(n)]
+        by_column = rng.random() < 0.5
+        for c in range(n):
+            for r in range(n):
+                m[c][r] = heights[c] if by_column else heights[r]
+    if rng.random() < 0.5:
+        m[rng.randrange(n)][rng.randrange(n)] += rng.choice((-2, -1, 1))
+    return tuple(tuple(col) for col in m)
+
+
+def test_boundary_check_matches_the_per_point_loop():
+    rng = random.Random(41)
+    accepted = rejected = 0
+    for _ in range(10_000):
+        n = rng.randint(2, 4)
+        x = tuple(rng.sample(range(n), n))
+        if rng.random() < 0.5:
+            c1, c2 = rng.sample(range(n), 2)
+            y = list(x)
+            y[c1], y[c2] = y[c2], y[c1]
+            y = tuple(y)
+        else:
+            y = x if rng.random() < 0.5 else tuple(rng.sample(range(n), n))
+        m = _random_table(rng, n, x, y)
+        try:
+            oracle_check_domain(x, y, m)
+            want = None
+        except BoundaryMismatch as err:
+            want = str(err)
+        try:
+            GridDomain(x, y, m)
+            got = None
+        except BoundaryMismatch as err:
+            got = str(err)
+        assert got == want, (x, y, m)
+        accepted += want is None
+        rejected += want is not None
+    assert accepted > 2000 and rejected > 2000
