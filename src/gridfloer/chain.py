@@ -18,12 +18,14 @@ general, so it is exposed as a ``fractions.Fraction``.
 Every pair that involves a marking involves one generator point only, so
 both gradings are sums of per-point weights plus constants:
 2A(x) = sum_c wa[c][x[c]] + const and
-M(x) = #{c < d : x[c] < x[d]} + sum_c wm[c][x[c]] + const.  The
-enumeration reads the weights from two n-by-n tables, built once per grid,
-and carries both gradings along a depth-first search over the columns, so
-grading costs O(1) amortized per generator; since 2A is a sum over
-columns, the search can cut off every partial generator that cannot reach
-a given Alexander level.
+M(x) = #{c < d : x[c] < x[d]} + sum_c wm[c][x[c]] + const.
+``_grading_tables`` builds the two n-by-n weight tables and both constants
+in one O(n^2) pass per grid, and it is the only code that counts markings:
+grading a single generator, the bounds on 2A and the enumeration all read
+its tables.  The enumeration carries both gradings along a depth-first
+search over the columns, so grading costs O(1) amortized per generator;
+since 2A is a sum over columns, the search can cut off every partial
+generator that cannot reach a given Alexander level.
 
 The differentials count empty rectangles: embedded rectangles on the torus
 whose lower-left and upper-right corners are points of the source generator,
@@ -72,6 +74,8 @@ __all__ = [
 ]
 
 Generator = tuple[int, ...]
+# (wm, wa, const_m, const_a), as built by ``_grading_tables``.
+GradingTables = tuple[list[list[int]], list[list[int]], int, int]
 
 # Generators are packed 4 bits per column into a single int for bucket
 # storage and dict keys; 16 columns is far beyond what enumeration reaches.
@@ -105,45 +109,50 @@ def _check_generator(G: GridDiagram, x: Generator) -> None:
         raise ValueError(f"{x!r} is not a permutation of 0..{G.n - 1}")
 
 
-def _pair_constants(G: GridDiagram) -> tuple[int, int]:
-    """(I(O,O) + 1, I(O,O) - I(X,X) - (n-1)): the generator-independent parts."""
-    n, o, xs = G.n, G.o_rows, G.x_rows
-    ioo = sum(1 for c in range(n) for d in range(c + 1, n) if o[c] < o[d])
-    ixx = sum(1 for c in range(n) for d in range(c + 1, n) if xs[c] < xs[d])
-    return ioo + 1, ioo - ixx - (n - 1)
+def _grading_tables(G: GridDiagram) -> GradingTables:
+    """(wm, wa, const_m, const_a): the per-point weights and constants of M and 2A.
 
+    wm[c][r] and wa[c][r] are what the point (c, r) adds to M and to 2A
+    through the markings.  Markings sit at cell centers (c + 1/2, r + 1/2),
+    so the point is southwest of the marking of column d >= c exactly when
+    r <= row(d), and the marking of column d < c is southwest of it exactly
+    when row(d) < r.  Each such pair with an O costs one in M and in 2A;
+    each with an X adds one to 2A.  The rows of each marking kind are a
+    permutation, so n - r markings sit at rows >= r; with k of them in
+    columns d < c, the pairs number (n - r - k) + (c - k).
 
-def _point_weights(G: GridDiagram, c: int, r: int) -> tuple[int, int]:
-    """(wm, wa): what the point (c, r) adds to M and to 2A through the markings.
-
-    Markings sit at cell centers (c + 1/2, r + 1/2), so the point is
-    southwest of the marking of column d >= c exactly when r <= row(d), and
-    the marking of column d < c is southwest of it exactly when row(d) < r.
-    Each such pair with an O costs one in M and in 2A; each with an X adds
-    one to 2A.  The rows of each marking kind are a permutation, so n - r
-    markings sit at rows >= r; with k of them in columns d < c, the pairs
-    number (n - r - k) + (c - k).
+    Columns are filled left to right in O(n^2), keeping k for every row.
+    Read at the row of column c's own marking, k also says that c - k
+    earlier markings of that kind lie below it, which sums I(O, O) and
+    I(X, X) for the constants I(O, O) + 1 and I(O, O) - I(X, X) - (n - 1).
     """
     n = G.n
-    k_o = sum(1 for row in G.o_rows[:c] if row >= r)
-    k_x = sum(1 for row in G.x_rows[:c] if row >= r)
-    return 2 * k_o - (n - r + c), 2 * (k_o - k_x)
+    k_o, k_x = [0] * n, [0] * n
+    wm, wa = [], []
+    ioo = ixx = 0
+    for c, (o, x) in enumerate(zip(G.o_rows, G.x_rows)):
+        wm.append([2 * k_o[r] - (n - r + c) for r in range(n)])
+        wa.append([2 * (k_o[r] - k_x[r]) for r in range(n)])
+        ioo += c - k_o[o]
+        ixx += c - k_x[x]
+        for r in range(o + 1):
+            k_o[r] += 1
+        for r in range(x + 1):
+            k_x[r] += 1
+    return wm, wa, ioo + 1, ioo - ixx - (n - 1)
 
 
-def _grade(G: GridDiagram, perm: Generator, const_m: int, const_a: int) -> tuple[int, int]:
-    """(Maslov, doubled Alexander) of one generator, O(n^2).
+def _grade(perm: Generator, tables: GradingTables) -> tuple[int, int]:
+    """(Maslov, doubled Alexander) of one generator from ``_grading_tables``, O(n^2).
 
     M is the count of pairs c < d with perm[c] < perm[d] plus the point
     weights and const_m; 2A is the point weights plus const_a.
     """
-    n = G.n
+    wm, wa, const_m, const_a = tables
+    n = len(perm)
     m = const_m + sum(1 for c in range(n) for d in range(c + 1, n) if perm[c] < perm[d])
-    two_a = const_a
-    for c, r in enumerate(perm):
-        wm, wa = _point_weights(G, c, r)
-        m += wm
-        two_a += wa
-    return m, two_a
+    m += sum(wm[c][r] for c, r in enumerate(perm))
+    return m, const_a + sum(wa[c][r] for c, r in enumerate(perm))
 
 
 def maslov(G: GridDiagram, x: Generator) -> int:
@@ -158,7 +167,7 @@ def alexander(G: GridDiagram, x: Generator) -> Fraction:
 
 def bigrading(G: GridDiagram, x: Generator) -> tuple[int, Fraction]:
     _check_generator(G, x)
-    m, two_a = _grade(G, tuple(x), *_pair_constants(G))
+    m, two_a = _grade(tuple(x), _grading_tables(G))
     return m, Fraction(two_a, 2)
 
 
@@ -406,21 +415,9 @@ def tilde_targets(G: GridDiagram, x: Generator) -> list[Generator]:
 # -- bucketed enumeration ----------------------------------------------------
 
 
-def _weight_tables(G: GridDiagram) -> tuple[list[list[int]], list[list[int]]]:
-    """The n-by-n tables wm[c][r], wa[c][r] of ``_point_weights``."""
-    n = G.n
-    wm = [[0] * n for _ in range(n)]
-    wa = [[0] * n for _ in range(n)]
-    for c in range(n):
-        for r in range(n):
-            wm[c][r], wa[c][r] = _point_weights(G, c, r)
-    return wm, wa
-
-
 def _two_a_bounds(G: GridDiagram) -> tuple[int, int]:
     """(lowest, highest) 2A a generator could have: column minima and maxima of wa."""
-    const_a = _pair_constants(G)[1]
-    _, wa = _weight_tables(G)
+    _, wa, _, const_a = _grading_tables(G)
     return const_a + sum(map(min, wa)), const_a + sum(map(max, wa))
 
 
@@ -445,15 +442,13 @@ def iter_alexander_levels(
     if G.n > MAX_PACKED_N:
         raise GridTooLarge(f"grid size {G.n} exceeds the packing limit {MAX_PACKED_N}")
     n = G.n
-    const_m, const_a = _pair_constants(G)
-    wm, wa = _weight_tables(G)
+    wm, wa, const_m, const_a = _grading_tables(G)
     # reach[c]: the most that columns c..n-1 can still add to 2A.
     reach = [0] * (n + 1)
     for c in range(n - 1, -1, -1):
         reach[c] = reach[c + 1] + max(wa[c])
-    if min_two_a is None:
-        min_two_a = _two_a_bounds(G)[0]
-    floor = min_two_a - const_a
+    # With no floor given, the lowest column weights let every generator through.
+    floor = sum(map(min, wa)) if min_two_a is None else min_two_a - const_a
     buckets: dict[int, dict[int, array]] = {}
     rows = range(n)
     full = (1 << n) - 1

@@ -12,12 +12,13 @@ detection read.
 The homology of the fully collapsed complex is not yet the link invariant:
 it carries n - l extra tensor factors V (l the number of link components),
 each V contributing one generator in bidegree (0, 0) and one in (-1, -1).
-``peel_v`` divides them back out of the rank polynomial, exactly.  For a
-knot, ``knot_hfk_ranks`` needs only the levels with A >= 0: V never raises
-A, so those levels peel from the top down, and the symmetry of knot Floer
-homology under (m, s) -> (m - 2s, -s) gives the rest.  Collapsed link
-homology has no such symmetry, so links go through ``homology_ranks`` and
-``peel_v``.
+One division, ``_divide_v``, takes them back out from the top Alexander
+level down, and it serves both callers.  ``peel_v`` divides a whole rank
+polynomial, exactly.  For a knot, ``knot_hfk_ranks`` needs only the levels
+with A >= 0: V never raises A, so the division stops at A = 0, and the
+symmetry of knot Floer homology under (m, s) -> (m - 2s, -s) gives the
+rest.  Collapsed link homology has no such symmetry, so links go through
+``homology_ranks`` and ``peel_v``.
 """
 
 from __future__ import annotations
@@ -175,23 +176,22 @@ def homology_ranks(G: GridDiagram) -> BigradedRanks:
     return BigradedRanks.from_dict(ranks)
 
 
-def knot_hfk_ranks(G: GridDiagram) -> BigradedRanks:
-    """Hat-flavor knot Floer homology of a knot, from the levels A >= 0 only.
+def _divide_v(
+    tilde: Mapping[int, Mapping[int, int]], count: int, stop: int
+) -> dict[tuple[int, Fraction], int]:
+    """{(m, s): H(m, s)} with tilde = H * (1 + t^-1 q^-1) ** count, on levels 2A >= stop.
 
-    The collapsed ranks are HFK-hat times (1 + t^-1 q^-1) ** (n - 1), so
-    tilde(m, s) = sum over j of C(n - 1, j) H(m + j, s + j): with the levels
-    above s known, H(m, s) is tilde(m, s) minus the terms j >= 1.  Levels
-    are peeled from the top down to s = 0, and each H(m, s) with s > 0 is
-    mirrored to (m - 2s, -s).  A negative H raises NotDivisible.  The
-    caller checks that G is a knot: the symmetry fails for links.
+    ``tilde`` maps 2A to {Maslov: rank}.  One factor pairs (m, s) with
+    (m - 1, s - 1), so tilde(m, s) = sum over j of C(count, j) H(m + j, s + j):
+    with the levels above s known, H(m, s) is tilde(m, s) minus the terms
+    j >= 1.  Levels are divided from the top down to 2A = stop, one 2A at a
+    time, so both parities of 2A are covered.  A negative H raises
+    NotDivisible.
     """
-    tilde = {
-        two_a: _level_ranks(G, two_a, levels) for two_a, levels in iter_alexander_levels(G, 0)
-    }
-    weights = [comb(G.n - 1, j) for j in range(1, G.n)]
-    hat: dict[tuple[int, Fraction], int] = {}
+    weights = [comb(count, j) for j in range(1, count + 1)]
+    quotient: dict[tuple[int, Fraction], int] = {}
     owed: dict[int, dict[int, int]] = {}  # 2A -> {m: the terms j >= 1 found so far}
-    for two_a in range(max(tilde, default=-1), -1, -2):
+    for two_a in range(max(tilde, default=stop), stop - 1, -1):
         ranks, above = tilde.get(two_a, {}), owed.pop(two_a, {})
         s = Fraction(two_a, 2)
         for m in ranks.keys() | above.keys():
@@ -200,10 +200,28 @@ def knot_hfk_ranks(G: GridDiagram) -> BigradedRanks:
                 raise NotDivisible(f"negative quotient {h} at (m, s) = ({m}, {s})")
             if not h:
                 continue
-            hat[(m, s)] = hat[(m - two_a, -s)] = h
+            quotient[(m, s)] = h
             for j, weight in enumerate(weights, 1):
                 below = owed.setdefault(two_a - 2 * j, {})
                 below[m - j] = below.get(m - j, 0) + weight * h
+    return quotient
+
+
+def knot_hfk_ranks(G: GridDiagram) -> BigradedRanks:
+    """Hat-flavor knot Floer homology of a knot, from the levels A >= 0 only.
+
+    The collapsed ranks are HFK-hat times (1 + t^-1 q^-1) ** (n - 1), and V
+    never raises A, so ``_divide_v`` finds HFK-hat on the levels A >= 0 from
+    those levels alone.  Each H(m, s) with s > 0 is mirrored to (m - 2s, -s).
+    A negative H raises NotDivisible.  The caller checks that G is a knot:
+    the symmetry fails for links.
+    """
+    tilde = {
+        two_a: _level_ranks(G, two_a, levels) for two_a, levels in iter_alexander_levels(G, 0)
+    }
+    hat: dict[tuple[int, Fraction], int] = {}
+    for (m, s), h in _divide_v(tilde, G.n - 1, 0).items():
+        hat[(m, s)] = hat[(m - int(2 * s), -s)] = h
     if not hat:
         raise ArithmeticError("knot Floer homology is zero; differential inconsistent")
     return BigradedRanks.from_dict(hat)
@@ -241,41 +259,16 @@ def top_alexander_level(G: GridDiagram) -> tuple[Fraction, dict[int, int]]:
 def peel_v(poly: BigradedRanks, count: int) -> BigradedRanks:
     """Divide a rank polynomial by (1 + t^-1 q^-1) ** count, exactly.
 
-    The factor couples bidegrees along diagonals of constant s - m, so each
-    diagonal divides independently by descending recursion from its top term.
-    A nonzero remainder or a negative quotient coefficient raises
-    NotDivisible; for homology of a valid grid that cannot happen, so callers
-    treat it as an internal alarm, not an input error.
+    ``_divide_v`` runs to one level below the table's lowest 2A (of either
+    parity), where the table is zero but every nonzero quotient within
+    ``count`` levels of the bottom owes a positive term.  So a remainder
+    shows as a negative quotient and raises NotDivisible.  For homology of
+    a valid grid that cannot happen, so callers treat it as an internal
+    alarm, not an input error.
     """
     if count < 0:
         raise ValueError("count must be >= 0")
-    coeffs = poly.as_dict()
-    for _ in range(count):
-        coeffs = _peel_once(coeffs)
-    return BigradedRanks.from_dict(coeffs)
-
-
-def _peel_once(
-    coeffs: dict[tuple[int, Fraction], int]
-) -> dict[tuple[int, Fraction], int]:
-    if not coeffs:
-        return {}
-    diagonals: dict[Fraction, dict[int, int]] = {}
-    for (m, s), c in coeffs.items():
-        diagonals.setdefault(s - m, {})[m] = c
-    out: dict[tuple[int, Fraction], int] = {}
-    for d, col in diagonals.items():
-        hi, lo = max(col), min(col)
-        above = 0  # quotient coefficient at Maslov m + 1
-        for m in range(hi, lo - 1, -1):
-            q = col.get(m, 0) - above
-            if m == lo:
-                if q != 0:
-                    raise NotDivisible(f"remainder {q} on diagonal s - m = {d}")
-            else:
-                if q < 0:
-                    raise NotDivisible(f"negative quotient {q} at (m, s) = ({m}, {m + d})")
-                if q:
-                    out[(m, Fraction(m) + d)] = q
-            above = q
-    return out
+    tilde: dict[int, dict[int, int]] = {}
+    for (m, s), r in poly.as_dict().items():
+        tilde.setdefault(int(2 * s), {})[m] = r
+    return BigradedRanks.from_dict(_divide_v(tilde, count, min(tilde, default=0) - 2))

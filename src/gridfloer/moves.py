@@ -142,6 +142,9 @@ def _destabilize(G: GridDiagram, c: int) -> GridDiagram:
     r = G.x_rows[d]
     if G.x_rows[c] != r + 1 or G.o_rows[d] != r + 1:
         raise IllegalMove(f"no destabilization pattern at columns {c},{d}")
+    if G.o_rows[c] == r:
+        # Collapsing would leave column c's O and X in one cell.
+        raise IllegalMove(f"columns {c},{d} hold a whole 2x2 unknot component")
 
     def down(v: int) -> int:
         return v - 1 if v > r + 1 else v
@@ -171,30 +174,25 @@ def apply_move(G: GridDiagram, move: GridMove) -> GridDiagram:
 
 
 def legal_moves(G: GridDiagram) -> tuple[GridMove, ...]:
-    """Every move applicable to G, in a fixed deterministic order."""
-    out: list[GridMove] = []
-    for s in range(1, G.n):
-        out.append(GridMove(MoveKind.CYCLIC_ROW, s))
-    for s in range(1, G.n):
-        out.append(GridMove(MoveKind.CYCLIC_COLUMN, s))
-    for c in range(G.n):
-        d = (c + 1) % G.n
-        if _spans_commute(
-            tuple(sorted((G.o_rows[c], G.x_rows[c]))),
-            tuple(sorted((G.o_rows[d], G.x_rows[d]))),
-        ):
-            out.append(GridMove(MoveKind.COMMUTE_COLUMNS, c))
-    for r in range(G.n):
-        s = (r + 1) % G.n
-        if _spans_commute(
-            tuple(sorted((G.o_cols[r], G.x_cols[r]))),
-            tuple(sorted((G.o_cols[s], G.x_cols[s]))),
-        ):
-            out.append(GridMove(MoveKind.COMMUTE_ROWS, r))
-    for c in range(G.n):
-        out.append(GridMove(MoveKind.STABILIZE, c))
-    for c in range(G.n - 1):
-        r = G.x_rows[c + 1]
-        if G.x_rows[c] == r + 1 and G.o_rows[c + 1] == r + 1 and G.n > 2:
-            out.append(GridMove(MoveKind.DESTABILIZE, c))
+    """Every move applicable to G, in a fixed deterministic order.
+
+    Each candidate is tried with ``apply_move`` and kept unless it raises
+    IllegalMove, so the listing never disagrees with the moves themselves.
+    """
+    n = G.n
+    candidates = [
+        *(GridMove(MoveKind.CYCLIC_ROW, s) for s in range(1, n)),
+        *(GridMove(MoveKind.CYCLIC_COLUMN, s) for s in range(1, n)),
+        *(GridMove(MoveKind.COMMUTE_COLUMNS, c) for c in range(n)),
+        *(GridMove(MoveKind.COMMUTE_ROWS, r) for r in range(n)),
+        *(GridMove(MoveKind.STABILIZE, c) for c in range(n)),
+        *(GridMove(MoveKind.DESTABILIZE, c) for c in range(n - 1)),
+    ]
+    out = []
+    for move in candidates:
+        try:
+            apply_move(G, move)
+        except IllegalMove:
+            continue
+        out.append(move)
     return tuple(out)

@@ -19,8 +19,8 @@ from typing import Iterable
 from .chain import (
     _encode,
     _grade,
+    _grading_tables,
     _minus_terms_from,
-    _pair_constants,
     _tilde_target_codes,
     rectangles_from,
 )
@@ -109,9 +109,9 @@ def _check_grading_laws(G: GridDiagram) -> CheckResult:
     rises by the O count (the U weights carry degree -2 and -1, restoring the
     drop of the weighted term to exactly one in M and zero in A)."""
     n, o, xs = G.n, G.o_rows, G.x_rows
-    const_m, const_a = _pair_constants(G)
+    tables = _grading_tables(G)
     # Each generator is the target of several terms; grade it once.
-    grade = functools.cache(lambda y: _grade(G, y, const_m, const_a))
+    grade = functools.cache(lambda y: _grade(y, tables))
     sources, scope = _sources(G)
     count = 0
     for x in sources:

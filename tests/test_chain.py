@@ -81,6 +81,16 @@ def test_bigrading_matches_pair_counting_oracle():
         assert alexander(G, x) == want_a
 
 
+def test_grading_tables_match_the_oracle_on_larger_grids():
+    # The tables are filled column by column; check them well past n = 7.
+    rng = random.Random(24)
+    for n in range(8, 14):
+        G = random_grid(n, rng)
+        for _ in range(5):
+            x = tuple(rng.sample(range(n), n))
+            assert bigrading(G, x) == oracle_bigrading(G, x), (G, x)
+
+
 def _oracle_levels(G) -> list[tuple[int, dict[int, list[int]]]]:
     """iter_alexander_levels rebuilt from permutations and the pair-counting oracle."""
     buckets: dict = {}

@@ -241,6 +241,14 @@ def test_move_rejects_illegal_commutation():
     assert "error: IllegalMove:" in done.stdout
 
 
+def test_move_rejects_destabilizing_a_whole_unknot_component():
+    # Columns 0,1 are a whole 2x2 unknot: collapsing them would share a cell.
+    split = "n=4\nO=0,1,2,3\nX=1,0,3,2\n"
+    done = run_cli("move", "--kind", "destabilize", "--position", "0", "-", stdin=split)
+    assert done.returncode == 1
+    assert "error: IllegalMove:" in done.stdout
+
+
 def test_verify_verb_reports_all_checks():
     done = run_cli("verify", str(GRIDS_DIR / "unknot2.grid"))
     assert done.returncode == 0

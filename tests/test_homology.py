@@ -8,6 +8,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridfloer import (
     BigradedRanks,
@@ -223,6 +225,42 @@ def test_peel_v_rejects_non_multiples():
     lopsided = BigradedRanks.from_dict({(0, 0): 2, (-1, -1): 1})
     with pytest.raises(NotDivisible):
         peel_v(lopsided, 1)
+
+
+# Random nonnegative tables: (Maslov, 2A) -> rank, so s is an integer or a
+# half-integer, both parities possibly in one table.
+_tables = st.dictionaries(
+    st.tuples(st.integers(-4, 4), st.integers(-8, 8)), st.integers(1, 3), max_size=6
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    table=_tables,
+    k=st.integers(0, 5),
+    remove=st.booleans(),
+    pick=st.integers(0, 10**6),
+    spot=st.tuples(st.integers(-10, 6), st.integers(-20, 10)),
+)
+def test_peel_v_divides_v_powers_and_rejects_one_unit_off(table, k, remove, pick, spot):
+    H = BigradedRanks.from_dict({(m, Fraction(two_s, 2)): r for (m, two_s), r in table.items()})
+    product = H
+    for _ in range(k):
+        product = product * BigradedRanks.v_factor()
+    assert peel_v(product, k) == H
+    if k == 0:
+        return
+    # A monomial is never a multiple of (1 + t^-1 q^-1) ** k, so one unit
+    # more or less anywhere, the bottom level included, must not divide.
+    coeffs = product.as_dict()
+    if remove and coeffs:
+        key = sorted(coeffs)[pick % len(coeffs)]
+        coeffs[key] -= 1
+    else:
+        key = (spot[0], Fraction(spot[1], 2))
+        coeffs[key] = coeffs.get(key, 0) + 1
+    with pytest.raises(NotDivisible):
+        peel_v(BigradedRanks.from_dict(coeffs), k)
 
 
 def test_trefoil_peeled_homology():

@@ -19,6 +19,11 @@ from gridfloer.errors import IllegalMove
 
 from .helpers import HOPF4, KNOWN_GRIDS, TREFOIL5, UNKNOT2
 
+# Columns 0,1 close up into a whole 2x2 unknot, and so do columns 2,3: each
+# pair looks like a destabilization pattern, but collapsing it would put an
+# O and an X in one cell.
+SPLIT_UNKNOTS4 = new_grid(4, (0, 1, 2, 3), (1, 0, 3, 2))
+
 
 def test_move_kind_from_string():
     assert MoveKind("stabilize") is MoveKind.STABILIZE
@@ -114,6 +119,9 @@ def test_destabilize_requires_the_pattern():
         apply_move(UNKNOT2, GridMove(MoveKind.DESTABILIZE, 0))
     with pytest.raises(IllegalMove):
         apply_move(TREFOIL5, GridMove(MoveKind.DESTABILIZE, 1))
+    for c in (0, 2):
+        with pytest.raises(IllegalMove):
+            apply_move(SPLIT_UNKNOTS4, GridMove(MoveKind.DESTABILIZE, c))
 
 
 def test_moves_preserve_component_count():
@@ -128,7 +136,7 @@ def test_moves_preserve_component_count():
 def test_legal_moves_all_apply_cleanly():
     rng = random.Random(10)
     grids = list(KNOWN_GRIDS) + [random_grid(rng.randint(2, 6), rng) for _ in range(10)]
-    for G in grids:
+    for G in grids + [SPLIT_UNKNOTS4]:
         moves = legal_moves(G)
         cyclic = [m for m in moves if m.kind in (MoveKind.CYCLIC_ROW, MoveKind.CYCLIC_COLUMN)]
         assert len(cyclic) == 2 * (G.n - 1)
