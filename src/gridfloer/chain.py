@@ -40,21 +40,22 @@ Both differentials come from one kernel, ``_empty_rectangle_sweep``: one
 eastward sweep per left column, O(n^2) per generator, yielding every empty
 rectangle that avoids the X markings together with whether it also avoids
 the O markings.  The full differential keeps all of them and records the O
-markings swept; the collapsed one keeps only the O-free ones, as packed
-codes.  ``rectangles_from`` builds each rectangle separately, cell by cell,
-and serves as the public API and as the independent check on the kernel.
+markings swept; the collapsed one keeps only the O-free ones.
+``rectangles_from`` builds each rectangle separately, cell by cell, and
+serves as the public API and as the independent check on the kernel.
+
+Generators are permutation tuples throughout, from the enumeration to the
+boundary rows, so only the cost, factorial in n, limits the grid size.
 """
 
 from __future__ import annotations
 
 import itertools
-from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 from typing import Iterator
 
-from .errors import GridTooLarge
 from .grid import GridDiagram
 
 __all__ = [
@@ -76,23 +77,6 @@ __all__ = [
 Generator = tuple[int, ...]
 # (wm, wa, const_m, const_a), as built by ``_grading_tables``.
 GradingTables = tuple[list[list[int]], list[list[int]], int, int]
-
-# Generators are packed 4 bits per column into a single int for bucket
-# storage and dict keys; 16 columns is far beyond what enumeration reaches.
-PACK_BITS = 4
-MAX_PACKED_N = 16
-
-
-def _encode(perm: Generator) -> int:
-    code = 0
-    for c, r in enumerate(perm):
-        code |= r << (PACK_BITS * c)
-    return code
-
-
-def _decode(code: int, n: int) -> Generator:
-    mask = (1 << PACK_BITS) - 1
-    return tuple([(code >> s) & mask for s in range(0, PACK_BITS * n, PACK_BITS)])
 
 
 def generators(G: GridDiagram) -> Iterator[Generator]:
@@ -379,21 +363,21 @@ def minus_differential(G: GridDiagram) -> Iterator[MinusTerm]:
 
 def _tilde_target_codes(
     perm: Generator,
-    code: int,
     o_rows: tuple[int, ...],
     x_rows: tuple[int, ...],
     n: int,
-) -> list[int]:
-    """Packed codes of the marking-free empty-rectangle targets from perm.
+) -> list[Generator]:
+    """Targets, as generator tuples, of the marking-free empty rectangles from perm.
 
-    Keeps the O-free rectangles of the sweep; each target code is derived
-    from the source code by swapping two nibbles, with no tuple per term.
+    One per O-free rectangle of the sweep: perm with the rows of the two
+    corner columns swapped.  A target both rectangles reach is listed twice.
     """
     out = []
     for c1, c2, o_free in _empty_rectangle_sweep(perm, o_rows, x_rows, n):
         if o_free:
-            d = perm[c2] - perm[c1]
-            out.append(code + (d << (PACK_BITS * c1)) - (d << (PACK_BITS * c2)))
+            y = list(perm)
+            y[c1], y[c2] = y[c2], y[c1]
+            out.append(tuple(y))
     return out
 
 
@@ -406,10 +390,10 @@ def tilde_targets(G: GridDiagram, x: Generator) -> list[Generator]:
     """
     _check_generator(G, x)
     x = tuple(x)
-    hits: set[int] = set()
-    for c in _tilde_target_codes(x, _encode(x), G.o_rows, G.x_rows, G.n):
-        hits ^= {c}
-    return sorted(_decode(c, G.n) for c in hits)
+    hits: set[Generator] = set()
+    for y in _tilde_target_codes(x, G.o_rows, G.x_rows, G.n):
+        hits ^= {y}
+    return sorted(hits)
 
 
 # -- bucketed enumeration ----------------------------------------------------
@@ -423,14 +407,12 @@ def _two_a_bounds(G: GridDiagram) -> tuple[int, int]:
 
 def iter_alexander_levels(
     G: GridDiagram, min_two_a: int | None = None
-) -> Iterator[tuple[int, dict[int, array]]]:
-    """Yield (doubled Alexander grading, {Maslov: packed generator codes}).
+) -> Iterator[tuple[int, dict[int, list[Generator]]]]:
+    """Yield (doubled Alexander grading, {Maslov: generators}).
 
-    Levels come in increasing Alexander order; within a level, codes are in
-    lexicographic generator order.  ``min_two_a`` keeps only the levels with
-    2A >= min_two_a; None keeps all n!.  Generators are bucketed at 8 bytes
-    each, far less than what homology builds per level from them.  Codes
-    pack 4 bits per column, so grids above 16 columns raise GridTooLarge.
+    Levels come in increasing Alexander order; within a level, generators
+    are in lexicographic order.  ``min_two_a`` keeps only the levels with
+    2A >= min_two_a; None keeps all n!.
 
     A depth-first search fixes columns left to right, trying rows in
     increasing order, so generators come in lexicographic order.  M and 2A
@@ -439,8 +421,6 @@ def iter_alexander_levels(
     A partial generator whose 2A plus the largest weights the remaining
     columns could add stays below ``min_two_a`` is cut off.
     """
-    if G.n > MAX_PACKED_N:
-        raise GridTooLarge(f"grid size {G.n} exceeds the packing limit {MAX_PACKED_N}")
     n = G.n
     wm, wa, const_m, const_a = _grading_tables(G)
     # reach[c]: the most that columns c..n-1 can still add to 2A.
@@ -449,33 +429,34 @@ def iter_alexander_levels(
         reach[c] = reach[c + 1] + max(wa[c])
     # With no floor given, the lowest column weights let every generator through.
     floor = sum(map(min, wa)) if min_two_a is None else min_two_a - const_a
-    buckets: dict[int, dict[int, array]] = {}
+    buckets: dict[int, dict[int, list[Generator]]] = {}
     rows = range(n)
     full = (1 << n) - 1
     wm_last, wa_last = wm[n - 1], wa[n - 1]
-    last_shift = PACK_BITS * (n - 1)
+    perm = [0] * n  # the rows placed so far, filled in place by the search
 
-    def place(c: int, used: int, m: int, two_a: int, code: int) -> None:
+    def place(c: int, used: int, m: int, two_a: int) -> None:
         row_m, row_a = wm[c], wa[c]
         need = floor - reach[c + 1]
-        shift = PACK_BITS * c
         for r in rows:
             bit = 1 << r
             if used & bit or two_a + row_a[r] < need:
                 continue
+            perm[c] = r
             m_r = m + row_m[r] + (used & (bit - 1)).bit_count()
             if c + 2 < n:
-                place(c + 1, used | bit, m_r, two_a + row_a[r], code | r << shift)
+                place(c + 1, used | bit, m_r, two_a + row_a[r])
                 continue
             # The last column takes the one row left.
             used_r = used | bit
             last = (full ^ used_r).bit_length() - 1
             a_last = two_a + row_a[r] + wa_last[last]
             if a_last >= floor:
+                perm[n - 1] = last
                 level = buckets.setdefault(a_last + const_a, {})
                 m_last = m_r + wm_last[last] + (used_r & ((1 << last) - 1)).bit_count()
-                level.setdefault(m_last, array("Q")).append(code | r << shift | last << last_shift)
+                level.setdefault(m_last, []).append(tuple(perm))
 
-    place(0, 0, const_m, 0, 0)
+    place(0, 0, const_m, 0)
     for two_a in sorted(buckets):
         yield two_a, buckets[two_a]

@@ -21,7 +21,6 @@ import sys
 from math import factorial
 from multiprocessing import Pool
 
-from .chain import MAX_PACKED_N
 from .errors import GridError, GridTooLarge, NotDivisible
 from .grid import GridDiagram, link_summary, parse_grids, random_grid, serialize_grid
 from .homology import BigradedRanks, homology_ranks
@@ -206,9 +205,6 @@ def _process_entry(payload: tuple[str, GridDiagram, dict]) -> Entry:
     verb, G, opts = payload
     try:
         if verb in EXPENSIVE_VERBS:
-            # Checked first: no --max-n can force a grid past the packing limit.
-            if G.n > MAX_PACKED_N:
-                raise GridTooLarge(f"grid size {G.n} exceeds the packing limit {MAX_PACKED_N}")
             if G.n > opts["max_n"]:
                 growth = ""
                 if verb in FULL_COMPLEX_VERBS:
@@ -371,10 +367,7 @@ def run(argv: list[str] | None = None) -> int:
 
     try:
         grids = parse_grids(_read_text(args.path))
-    except OSError as err:
-        sys.stderr.write(f"error: {err}\n")
-        return 1
-    except GridError as err:
+    except (OSError, UnicodeDecodeError, GridError) as err:
         sys.stderr.write(f"error: {err}\n")
         return 1
 

@@ -58,7 +58,7 @@ class NotAKnot(GridError):
 
 
 class GridTooLarge(GridError):
-    """Refused by the size guard; generator count grows factorially."""
+    """Refused by the ``--max-n`` guard before any work: homology cost grows exponentially in n."""
 
 
 class NotDivisible(GridError):

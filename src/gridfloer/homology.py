@@ -23,13 +23,12 @@ rest.  Collapsed link homology has no such symmetry, so links go through
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from typing import Mapping
 
-from .chain import _decode, _tilde_target_codes, _two_a_bounds, iter_alexander_levels
+from .chain import Generator, _tilde_target_codes, _two_a_bounds, iter_alexander_levels
 from .errors import NotDivisible
 from .gf2 import gf2_rank
 from .grid import GridDiagram
@@ -123,27 +122,29 @@ class BigradedRanks:
         return " + ".join(parts)
 
 
-def _boundary_rows(G: GridDiagram, levels: Mapping[int, array]):
+def _boundary_rows(G: GridDiagram, levels: Mapping[int, list[Generator]]):
     """The collapsed boundary blocks of one Alexander level, one Maslov level at a time.
 
     Yields (m, rows) for each Maslov level m in increasing order.  rows[j] is
     the mod-2 boundary of the j-th source at m as an int bitset over the
-    lexicographic index of the codes at m - 1.
+    lexicographic index of the generators at m - 1.
     """
     n, o, xs = G.n, G.o_rows, G.x_rows
-    index = {m: {code: i for i, code in enumerate(arr)} for m, arr in levels.items()}
+    index = {m: {x: i for i, x in enumerate(gens)} for m, gens in levels.items()}
     for m in sorted(levels):
         lower = index.get(m - 1, {})
         rows = []
-        for code in levels[m]:
+        for x in levels[m]:
             mask = 0
-            for t in _tilde_target_codes(_decode(code, n), code, o, xs, n):
-                mask ^= 1 << lower[t]
+            for y in _tilde_target_codes(x, o, xs, n):
+                mask ^= 1 << lower[y]
             rows.append(mask)
         yield m, rows
 
 
-def _level_ranks(G: GridDiagram, two_a: int, levels: Mapping[int, array]) -> dict[int, int]:
+def _level_ranks(
+    G: GridDiagram, two_a: int, levels: Mapping[int, list[Generator]]
+) -> dict[int, int]:
     """{Maslov: rank} of the nonzero homology of one Alexander level.
 
     The rank at m is dim C(m) minus the ranks of the boundary blocks out of
@@ -151,8 +152,8 @@ def _level_ranks(G: GridDiagram, two_a: int, levels: Mapping[int, array]) -> dic
     """
     boundary_rank = {m: gf2_rank(rows) for m, rows in _boundary_rows(G, levels)}
     ranks = {}
-    for m, arr in levels.items():
-        h = len(arr) - boundary_rank.get(m, 0) - boundary_rank.get(m + 1, 0)
+    for m, gens in levels.items():
+        h = len(gens) - boundary_rank.get(m, 0) - boundary_rank.get(m + 1, 0)
         if h < 0:
             s = Fraction(two_a, 2)
             raise ArithmeticError(f"negative rank at ({m}, {s}); differential inconsistent")

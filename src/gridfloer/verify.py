@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .chain import (
-    _encode,
     _grade,
     _grading_tables,
     _minus_terms_from,
@@ -94,8 +93,8 @@ def _check_tilde_matches_minus(G: GridDiagram) -> CheckResult:
             for r in rectangles_from(G, x)
             if r.empty and r.x_total == 0
         ]
-        want = sorted(_encode(y) for y, exps in minus if not any(exps))
-        got = sorted(_tilde_target_codes(x, _encode(x), o, xs, n))
+        want = sorted(y for y, exps in minus if not any(exps))
+        got = sorted(_tilde_target_codes(x, o, xs, n))
         if sorted(minus) != sorted(_minus_terms_from(x, o, xs, n)) or want != got:
             return CheckResult(
                 "tilde_matches_minus", False, f"term mismatch at source {x}"

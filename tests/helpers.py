@@ -18,7 +18,16 @@ import itertools
 import random
 from fractions import Fraction
 
-from gridfloer import GridDiagram, link_summary, new_grid, random_grid, winding_matrix
+from gridfloer import (
+    GridDiagram,
+    GridMove,
+    MoveKind,
+    apply_move,
+    link_summary,
+    new_grid,
+    random_grid,
+    winding_matrix,
+)
 from gridfloer.errors import BoundaryMismatch
 
 UNKNOT2 = new_grid(2, (1, 0), (0, 1))
@@ -42,6 +51,17 @@ def random_knot_grid(n: int, rng: random.Random) -> GridDiagram:
         G = random_grid(n, rng)
         if link_summary(G).component_count == 1:
             return G
+
+
+def stabilized(G: GridDiagram, sizes, rng: random.Random) -> dict[int, GridDiagram]:
+    """{n: G stabilized to size n} for each n in sizes, all on one chain of
+    stabilizations, each at a column drawn from rng."""
+    out = {}
+    while G.n < max(sizes):
+        G = apply_move(G, GridMove(MoveKind.STABILIZE, rng.randrange(G.n)))
+        if G.n in sizes:
+            out[G.n] = G
+    return out
 
 
 def all_grids(n: int):

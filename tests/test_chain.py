@@ -22,9 +22,7 @@ from gridfloer import (
     tilde_targets,
 )
 from gridfloer.chain import (
-    MAX_PACKED_N,
     _empty_rectangle_sweep,
-    _encode,
     _minus_terms_from,
     _two_a_bounds,
     iter_alexander_levels,
@@ -91,25 +89,22 @@ def test_grading_tables_match_the_oracle_on_larger_grids():
             assert bigrading(G, x) == oracle_bigrading(G, x), (G, x)
 
 
-def _oracle_levels(G) -> list[tuple[int, dict[int, list[int]]]]:
+def _oracle_levels(G) -> list[tuple[int, dict[int, list[tuple[int, ...]]]]]:
     """iter_alexander_levels rebuilt from permutations and the pair-counting oracle."""
     buckets: dict = {}
     for x in itertools.permutations(range(G.n)):
         m, a = oracle_bigrading(G, x)
-        buckets.setdefault(int(2 * a), {}).setdefault(int(m), []).append(_encode(x))
+        buckets.setdefault(int(2 * a), {}).setdefault(int(m), []).append(x)
     return sorted(buckets.items())
 
 
-def _levels(G, min_two_a=None) -> list[tuple[int, dict[int, list[int]]]]:
-    return [
-        (two_a, {m: list(codes) for m, codes in levels.items()})
-        for two_a, levels in iter_alexander_levels(G, min_two_a)
-    ]
+def _levels(G, min_two_a=None) -> list[tuple[int, dict[int, list[tuple[int, ...]]]]]:
+    return list(iter_alexander_levels(G, min_two_a))
 
 
 def test_levels_match_permutation_oracle():
-    # Same 2A keys in increasing order, same Maslov buckets, and codes in
-    # lexicographic generator order within each bucket.
+    # Same 2A keys in increasing order, same Maslov buckets, and generators
+    # as tuples in lexicographic order within each bucket.
     rng = random.Random(22)
     grids = list(all_grids(3)) + [random_grid(n, rng) for n in (4, 4, 5, 5, 6, 7)]
     for G in grids:
@@ -295,8 +290,7 @@ def _assert_kernel_matches(G, x, corners: bool = False) -> None:
     got = list(_empty_rectangle_sweep(x, G.o_rows, G.x_rows, G.n))
     assert len(got) == len(set(got)) and set(got) == sweep, (G, x)
     assert Counter(_minus_terms_from(x, G.o_rows, G.x_rows, G.n)) == minus, (G, x)
-    if G.n <= MAX_PACKED_N:
-        assert tilde_targets(G, x) == tilde, (G, x)
+    assert tilde_targets(G, x) == tilde, (G, x)
     if corners:
         assert _terms_by_corners(G, x) == (minus, tilde), (G, x)
 

@@ -16,9 +16,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridfloer import cli, homology_ranks, parse_grid, random_grid, serialize_grid
+from gridfloer import (
+    alexander_via_determinant,
+    cli,
+    homology_ranks,
+    parse_grid,
+    random_grid,
+    serialize_grid,
+)
 
-from .helpers import HOPF4, TREFOIL5, UNKNOT2
+from .helpers import HOPF4, TREFOIL5, UNKNOT2, stabilized
 
 GRIDS_DIR = Path(__file__).resolve().parent.parent / "grids"
 
@@ -153,32 +160,67 @@ def test_max_n_guard_on_knot_verbs_gives_size_and_force():
         ]
 
 
-def test_packing_limit_is_reported_in_stream():
+def test_max_n_refuses_n17_in_stream():
     big = serialize_grid(random_grid(17, random.Random(17)))
     batch = serialize_grid(TREFOIL5) + "\n\n" + big
-    done = run_cli("homology", "--max-n", "20", "-", stdin=batch)
+    done = run_cli("homology", "-", stdin=batch)
     assert done.returncode == 1
     assert "Traceback" not in done.stderr
     blocks = done.stdout.strip().split("\n\n")
     assert len(blocks) == 2
     assert blocks[0].startswith("n: 5\ntotal rank: 48\n")
-    assert blocks[1].startswith("error: GridTooLarge:")
-    assert "packing limit 16" in blocks[1]
+    assert blocks[1] == (
+        "error: GridTooLarge: grid size 17 exceeds --max-n 10"
+        " (the complex has n! = 355687428096000 generators); pass --max-n 17 to force"
+    )
 
 
-def test_packing_limit_is_refused_before_any_work(monkeypatch):
-    def must_not_run(*args):
-        raise AssertionError("work started on a grid past the packing limit")
+def test_max_n_is_the_only_size_guard_and_refuses_before_any_work(monkeypatch):
+    def must_not_run_past_max_n(G, opts):
+        if G.n > opts["max_n"]:
+            raise AssertionError("work started on a grid past --max-n")
+        return 0, ["reached"], {}
 
     for verb in cli.EXPENSIVE_VERBS:
-        monkeypatch.setitem(cli._HANDLERS, verb, must_not_run)
+        monkeypatch.setitem(cli._HANDLERS, verb, must_not_run_past_max_n)
     G17 = random_grid(17, random.Random(17))
     for verb in sorted(cli.EXPENSIVE_VERBS):
-        for max_n in (10, 17):
-            code, lines, record = cli._process_entry((verb, G17, {"max_n": max_n}))
-            assert code == 1
-            assert lines == ["error: GridTooLarge: grid size 17 exceeds the packing limit 16"]
-            assert record["error_type"] == "GridTooLarge"
+        code, lines, record = cli._process_entry((verb, G17, {"max_n": 10}))
+        assert code == 1
+        assert lines[0].startswith("error: GridTooLarge: grid size 17 exceeds --max-n 10")
+        assert lines[0].endswith("; pass --max-n 17 to force")
+        assert record["error_type"] == "GridTooLarge"
+        for max_n in (17, 20):
+            assert cli._process_entry((verb, G17, {"max_n": max_n})) == (0, ["reached"], {})
+
+
+def test_knot_verbs_run_past_n16_with_max_n():
+    G = stabilized(TREFOIL5, (20,), random.Random(0xC9))[20]
+    assert alexander_via_determinant(G) == {-1: 1, 0: -1, 1: 1}
+    text = serialize_grid(G)
+    genus = run_cli("genus", "--max-n", "20", "-", stdin=text)
+    alexander = run_cli("alexander", "--max-n", "20", "-", stdin=text)
+    assert (genus.returncode, genus.stdout) == (0, "genus: 1\n")
+    assert (alexander.returncode, alexander.stdout) == (0, "alexander: q - 1 + q^-1\n")
+
+
+@pytest.mark.parametrize("source", ["file", "stdin"])
+def test_input_that_is_not_utf8_fails_cleanly(tmp_path, source):
+    data = b"\xff\xfe\x00n=2\n"
+    path = tmp_path / "bad.grid"
+    path.write_bytes(data)
+    done = subprocess.run(
+        [sys.executable, "-m", "gridfloer", "validate", str(path) if source == "file" else "-"],
+        input=None if source == "file" else data,
+        capture_output=True,
+        env={**os.environ, "PYTHONIOENCODING": "utf-8"},
+        timeout=300,
+    )
+    stderr = done.stderr.decode()
+    assert done.returncode == 1
+    assert done.stdout == b""
+    assert stderr.startswith("error: ") and "can't decode byte 0xff" in stderr
+    assert "Traceback" not in stderr
 
 
 @pytest.mark.parametrize(

@@ -87,17 +87,16 @@ def test_homology_matches_dense_oracle_sampled():
 
 
 def test_complex_bases_cover_all_generators():
-    # The yield contract homology relies on: every code once, levels in
-    # increasing 2A, each Maslov bucket in lexicographic generator order.
-    codes = []
+    # The yield contract homology relies on: every generator once, as a
+    # tuple, levels in increasing 2A, each Maslov bucket in lexicographic order.
+    perms = []
     two_as = []
     for two_a, levels in chain.iter_alexander_levels(TREFOIL5):
         two_as.append(two_a)
-        for arr in levels.values():
-            codes.extend(arr)
-            basis = [chain._decode(code, TREFOIL5.n) for code in arr]
+        for basis in levels.values():
+            assert all(type(x) is tuple for x in basis)
             assert basis == sorted(basis)
-    perms = [chain._decode(code, TREFOIL5.n) for code in codes]
+            perms.extend(basis)
     assert len(perms) == 120
     assert set(perms) == set(itertools.permutations(range(TREFOIL5.n)))
     assert all(a < b for a, b in zip(two_as, two_as[1:]))

@@ -38,6 +38,7 @@ from .helpers import (
     d_squared_suite,
     oracle_torus_hfk,
     random_knot_grid,
+    stabilized,
     torus_grid,
 )
 
@@ -156,6 +157,17 @@ def test_chain_route_matches_determinant_route():
     grids = list(KNOWN_KNOTS) + [random_knot_grid(rng.randint(2, 6), rng) for _ in range(10)]
     for G in grids:
         assert alexander_polynomial(G) == alexander_via_determinant(G)
+
+
+def test_chain_route_matches_determinant_route_at_n_10_to_12():
+    # Stabilization keeps the knot type, and so the polynomial of the base.
+    cases = [(TREFOIL5, (10, 11, 12)), (TWIST7, (10, 11, 12)), (FIG8_6, (10, 11))]
+    for base, sizes in cases:
+        grids = stabilized(base, sizes, random.Random(0xC9))
+        assert sorted(grids) == list(sizes)
+        want = alexander_via_determinant(base)
+        for G in grids.values():
+            assert alexander_polynomial(G) == alexander_via_determinant(G) == want, G
 
 
 def test_build_report_agrees_with_field_functions():
