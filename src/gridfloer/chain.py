@@ -39,8 +39,14 @@ package consumes.
 Both differentials come from one kernel, ``_empty_rectangle_sweep``: one
 eastward sweep per left column, O(n^2) per generator, yielding every empty
 rectangle that avoids the X markings together with whether it also avoids
-the O markings.  The full differential keeps all of them and records the O
-markings swept; the collapsed one keeps only the O-free ones.
+the O markings.  Where the X and O markings cut the sweep from a point
+depends on the grid and that point only, not on the rest of the
+generator, so it is kept in a per-grid ``_SweepTable``: an n-by-n table of
+step lists, each filled on the first sweep from its point.  A walk over
+many generators builds one table and passes it down, so the kernel itself
+tracks only the generator's own points.  The full differential keeps all
+of the rectangles and records the O markings swept; the collapsed one
+keeps only the O-free ones.
 ``rectangles_from`` builds each rectangle separately, cell by cell, and
 serves as the public API and as the independent check on the kernel.
 
@@ -275,37 +281,70 @@ class MinusTerm:
     exponents: tuple[int, ...]
 
 
-def _empty_rectangle_sweep(
-    perm: Generator,
-    o_rows: tuple[int, ...],
-    x_rows: tuple[int, ...],
-    n: int,
-) -> Iterator[tuple[int, int, bool]]:
-    """(c1, c2, o_free) for every empty, X-free rectangle with source perm.
+class _SweepTable:
+    """The generator-free part of ``_empty_rectangle_sweep`` for one grid.
 
-    One eastward sweep per left column c1, O(n^2) per generator.  With
-    r1 = perm[c1], three running minima of row offsets (row - r1) % n are
-    kept: ``block`` over the generator points of the columns passed so far,
-    ``xm`` and ``om`` over the X and O markings of columns c1..c2-1.  The
-    rectangle to c2, of height h = (perm[c2] - r1) % n, is empty iff
-    h < block, avoids every X iff h <= xm and every O iff h <= om.  A point
-    at h == 1 blocks every wider rectangle, and an X at offset 0 lies in
-    all of them, so either ends the sweep for c1.
+    ``steps[c1][r1]`` is None until a generator with a point at (c1, r1) is
+    swept, then the sweep's steps from that point: a tuple of (c2, xm, om)
+    for c2 = c1 + 1, c1 + 2, ... (mod n), where xm and om are the least
+    offsets (row - r1) % n of the X and O markings of columns c1..c2-1.  The
+    steps end before the first column whose X sits on row r1, since that X
+    lies in every wider rectangle.  A walk over many generators of one grid
+    builds one table and passes it down; each entry costs O(n) once.  It is
+    filled lazily because all n^2 entries cost O(n^3), more than a detection
+    walk that sweeps only a few generators spends in the kernel.
     """
-    wrap = tuple(range(n)) * 2
-    for c1 in range(n):
-        r1 = perm[c1]
-        block = xm = om = n
-        c = c1
-        for c2 in wrap[c1 + 1 : c1 + n]:
+
+    __slots__ = ("n", "o_rows", "x_rows", "steps")
+
+    def __init__(self, G: GridDiagram):
+        self.n, self.o_rows, self.x_rows = G.n, G.o_rows, G.x_rows
+        self.steps: list[list[tuple[tuple[int, int, int], ...] | None]] = [
+            [None] * G.n for _ in range(G.n)
+        ]
+
+    def fill(self, c1: int, r1: int) -> tuple[tuple[int, int, int], ...]:
+        """Compute, store and return ``steps[c1][r1]``."""
+        n, o_rows, x_rows = self.n, self.o_rows, self.x_rows
+        out = []
+        xm = om = n
+        for c in range(c1, c1 + n - 1):
+            c %= n
             x = (x_rows[c] - r1) % n
+            if x == 0:
+                break
             if x < xm:
-                if x == 0:
-                    break
                 xm = x
             o = (o_rows[c] - r1) % n
             if o < om:
                 om = o
+            out.append(((c + 1) % n, xm, om))
+        steps = self.steps[c1][r1] = tuple(out)
+        return steps
+
+
+def _empty_rectangle_sweep(
+    perm: Generator, table: _SweepTable
+) -> Iterator[tuple[int, int, bool]]:
+    """(c1, c2, o_free) for every empty, X-free rectangle with source perm.
+
+    One eastward sweep per left column c1, O(n^2) per generator.  With
+    r1 = perm[c1], the marking offsets the sweep needs depend only on
+    (c1, r1), so they come from the grid's ``_SweepTable``, filled on first
+    use.  Per step the sweep keeps only ``block``, the least offset
+    (row - r1) % n over the generator points of the columns passed so far,
+    and the height h = (perm[c2] - r1) % n of the rectangle to c2.  That
+    rectangle is empty iff h < block, avoids every X iff h <= xm and every
+    O iff h <= om.  A point at h == 1 blocks every wider rectangle, so it
+    ends the sweep for c1, as the table's steps end at an X at offset 0.
+    """
+    n, rows = table.n, table.steps
+    for c1, r1 in enumerate(perm):
+        steps = rows[c1][r1]
+        if steps is None:
+            steps = table.fill(c1, r1)
+        block = n
+        for c2, xm, om in steps:
             h = (perm[c2] - r1) % n
             if h < block:
                 if h <= xm:
@@ -313,23 +352,20 @@ def _empty_rectangle_sweep(
                 if h == 1:
                     break
                 block = h
-            c = c2
 
 
 def _minus_terms_from(
-    perm: Generator,
-    o_rows: tuple[int, ...],
-    x_rows: tuple[int, ...],
-    n: int,
+    perm: Generator, table: _SweepTable
 ) -> list[tuple[Generator, tuple[int, ...]]]:
     """(target, exponents) of every empty, X-free rectangle from perm.
 
     Exponents are computed only for rectangles that sweep an O marking.
     Targets are plain tuples, so any n works.
     """
+    n, o_rows = table.n, table.o_rows
     zero = (0,) * n
     out = []
-    for c1, c2, o_free in _empty_rectangle_sweep(perm, o_rows, x_rows, n):
+    for c1, c2, o_free in _empty_rectangle_sweep(perm, table):
         r1, r2 = perm[c1], perm[c2]
         y = list(perm)
         y[c1], y[c2] = r2, r1
@@ -355,25 +391,20 @@ def minus_differential(G: GridDiagram) -> Iterator[MinusTerm]:
     generators qualify with equal exponents, both are streamed and it is the
     consumer's business to cancel them mod 2.
     """
-    n, o, xs = G.n, G.o_rows, G.x_rows
-    for perm in itertools.permutations(range(n)):
-        for target, exps in _minus_terms_from(perm, o, xs, n):
+    table = _SweepTable(G)
+    for perm in itertools.permutations(range(G.n)):
+        for target, exps in _minus_terms_from(perm, table):
             yield MinusTerm(perm, target, exps)
 
 
-def _tilde_target_codes(
-    perm: Generator,
-    o_rows: tuple[int, ...],
-    x_rows: tuple[int, ...],
-    n: int,
-) -> list[Generator]:
+def _tilde_target_codes(perm: Generator, table: _SweepTable) -> list[Generator]:
     """Targets, as generator tuples, of the marking-free empty rectangles from perm.
 
     One per O-free rectangle of the sweep: perm with the rows of the two
     corner columns swapped.  A target both rectangles reach is listed twice.
     """
     out = []
-    for c1, c2, o_free in _empty_rectangle_sweep(perm, o_rows, x_rows, n):
+    for c1, c2, o_free in _empty_rectangle_sweep(perm, table):
         if o_free:
             y = list(perm)
             y[c1], y[c2] = y[c2], y[c1]
@@ -391,7 +422,7 @@ def tilde_targets(G: GridDiagram, x: Generator) -> list[Generator]:
     _check_generator(G, x)
     x = tuple(x)
     hits: set[Generator] = set()
-    for y in _tilde_target_codes(x, G.o_rows, G.x_rows, G.n):
+    for y in _tilde_target_codes(x, _SweepTable(G)):
         hits ^= {y}
     return sorted(hits)
 

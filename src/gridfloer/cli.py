@@ -22,7 +22,14 @@ from math import factorial
 from multiprocessing import Pool
 
 from .errors import GridError, GridTooLarge, NotDivisible
-from .grid import GridDiagram, link_summary, parse_grids, random_grid, serialize_grid
+from .grid import (
+    GridDiagram,
+    _split_grids,
+    link_summary,
+    parse_grids,
+    random_grid,
+    serialize_grid,
+)
 from .homology import BigradedRanks, homology_ranks
 from .invariants import _require_knot, build_report, genus, hfk_hat, is_fibered, is_unknot
 from .laurent import laurent_string
@@ -366,7 +373,7 @@ def run(argv: list[str] | None = None) -> int:
         return _emit([entry], args.format)
 
     try:
-        grids = parse_grids(_read_text(args.path))
+        blocks = _split_grids(_read_text(args.path))
     except (OSError, UnicodeDecodeError, GridError) as err:
         sys.stderr.write(f"error: {err}\n")
         return 1
@@ -375,14 +382,24 @@ def run(argv: list[str] | None = None) -> int:
     if args.verb == "move":
         opts["kind"] = args.kind
         opts["position"] = args.position
-    payloads = [(args.verb, G, opts) for G in grids]
+    # A block that does not parse is its own entry; the other blocks still run.
+    entries: list[Entry | None] = []
+    payloads = []
+    for first_line, block in blocks:
+        try:
+            [G] = parse_grids(block, first_line)
+        except GridError as err:
+            entries.append(_error_entry(args.verb, 1, err))
+            continue
+        entries.append(None)
+        payloads.append((args.verb, G, opts))
 
     if args.jobs > 1 and len(payloads) > 1:
         with Pool(processes=min(args.jobs, len(payloads), os.cpu_count() or 1)) as pool:
-            entries = pool.map(_process_entry, payloads)
+            done = iter(pool.map(_process_entry, payloads))
     else:
-        entries = [_process_entry(p) for p in payloads]
-    return _emit(entries, args.format)
+        done = map(_process_entry, payloads)
+    return _emit([entry or next(done) for entry in entries], args.format)
 
 
 def main() -> None:

@@ -177,22 +177,15 @@ def _parse_block(block: list[tuple[int, str]]) -> GridDiagram:
     return GridDiagram(values["n"], values["O"], values["X"])  # type: ignore[arg-type]
 
 
-def parse_grids(text: str) -> list[GridDiagram]:
-    """Parse one or more grids.
+def _numbered_blocks(lines: list[str], first_line: int) -> list[list[tuple[int, str]]]:
+    """The blank-line-separated blocks of lines, as (line number, stripped line) lists.
 
-    Format, per grid::
-
-        n=5
-        O=1,2,3,4,0
-        X=4,0,1,2,3
-
-    Lines starting with ``#`` are comments; whitespace around tokens is
-    ignored; blank lines separate grids in a batch.
+    Comment lines are left out.  Raises GridSyntaxError when there is no block.
     """
     blocks: list[list[tuple[int, str]]] = []
     current: list[tuple[int, str]] = []
-    last_line = 1
-    for i, raw in enumerate(text.splitlines(), start=1):
+    last_line = first_line
+    for i, raw in enumerate(lines, start=first_line):
         last_line = i
         stripped = raw.strip()
         if stripped.startswith("#"):
@@ -207,7 +200,37 @@ def parse_grids(text: str) -> list[GridDiagram]:
         blocks.append(current)
     if not blocks:
         raise GridSyntaxError("no grid found", last_line)
-    return [_parse_block(b) for b in blocks]
+    return blocks
+
+
+def _split_grids(text: str) -> list[tuple[int, str]]:
+    """The grids of a batch, unparsed: (number of its first line, its text) per grid.
+
+    ``parse_grids(block, first_line)`` parses one of them, with errors that
+    give line numbers in the whole batch.  Raises GridSyntaxError when text
+    holds no grid.
+    """
+    lines = text.splitlines()
+    return [
+        (block[0][0], "\n".join(lines[block[0][0] - 1 : block[-1][0]]))
+        for block in _numbered_blocks(lines, 1)
+    ]
+
+
+def parse_grids(text: str, first_line: int = 1) -> list[GridDiagram]:
+    """Parse one or more grids.
+
+    Format, per grid::
+
+        n=5
+        O=1,2,3,4,0
+        X=4,0,1,2,3
+
+    Lines starting with ``#`` are comments; whitespace around tokens is
+    ignored; blank lines separate grids in a batch.  Errors name the line,
+    counting text's first line as ``first_line``.
+    """
+    return [_parse_block(b) for b in _numbered_blocks(text.splitlines(), first_line)]
 
 
 def parse_grid(text: str) -> GridDiagram:

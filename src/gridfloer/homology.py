@@ -28,7 +28,13 @@ from fractions import Fraction
 from math import comb
 from typing import Mapping
 
-from .chain import Generator, _tilde_target_codes, _two_a_bounds, iter_alexander_levels
+from .chain import (
+    Generator,
+    _SweepTable,
+    _tilde_target_codes,
+    _two_a_bounds,
+    iter_alexander_levels,
+)
 from .errors import NotDivisible
 from .gf2 import gf2_rank
 from .grid import GridDiagram
@@ -122,35 +128,35 @@ class BigradedRanks:
         return " + ".join(parts)
 
 
-def _boundary_rows(G: GridDiagram, levels: Mapping[int, list[Generator]]):
+def _boundary_rows(table: _SweepTable, levels: Mapping[int, list[Generator]]):
     """The collapsed boundary blocks of one Alexander level, one Maslov level at a time.
 
     Yields (m, rows) for each Maslov level m in increasing order.  rows[j] is
     the mod-2 boundary of the j-th source at m as an int bitset over the
-    lexicographic index of the generators at m - 1.
+    lexicographic index of the generators at m - 1.  ``table`` is the
+    grid's sweep table, shared by every level of one walk.
     """
-    n, o, xs = G.n, G.o_rows, G.x_rows
     index = {m: {x: i for i, x in enumerate(gens)} for m, gens in levels.items()}
     for m in sorted(levels):
         lower = index.get(m - 1, {})
         rows = []
         for x in levels[m]:
             mask = 0
-            for y in _tilde_target_codes(x, o, xs, n):
+            for y in _tilde_target_codes(x, table):
                 mask ^= 1 << lower[y]
             rows.append(mask)
         yield m, rows
 
 
 def _level_ranks(
-    G: GridDiagram, two_a: int, levels: Mapping[int, list[Generator]]
+    table: _SweepTable, two_a: int, levels: Mapping[int, list[Generator]]
 ) -> dict[int, int]:
     """{Maslov: rank} of the nonzero homology of one Alexander level.
 
     The rank at m is dim C(m) minus the ranks of the boundary blocks out of
     m and into m.
     """
-    boundary_rank = {m: gf2_rank(rows) for m, rows in _boundary_rows(G, levels)}
+    boundary_rank = {m: gf2_rank(rows) for m, rows in _boundary_rows(table, levels)}
     ranks = {}
     for m, gens in levels.items():
         h = len(gens) - boundary_rank.get(m, 0) - boundary_rank.get(m + 1, 0)
@@ -169,10 +175,11 @@ def homology_ranks(G: GridDiagram) -> BigradedRanks:
     are indexed in lexicographic order, boundary rows are built as int
     bitsets, and only ranks survive the level.
     """
+    table = _SweepTable(G)
     ranks: dict[tuple[int, Fraction], int] = {}
     for two_a, levels in iter_alexander_levels(G):
         s = Fraction(two_a, 2)
-        for m, h in _level_ranks(G, two_a, levels).items():
+        for m, h in _level_ranks(table, two_a, levels).items():
             ranks[(m, s)] = h
     return BigradedRanks.from_dict(ranks)
 
@@ -217,8 +224,10 @@ def knot_hfk_ranks(G: GridDiagram) -> BigradedRanks:
     A negative H raises NotDivisible.  The caller checks that G is a knot:
     the symmetry fails for links.
     """
+    table = _SweepTable(G)
     tilde = {
-        two_a: _level_ranks(G, two_a, levels) for two_a, levels in iter_alexander_levels(G, 0)
+        two_a: _level_ranks(table, two_a, levels)
+        for two_a, levels in iter_alexander_levels(G, 0)
     }
     hat: dict[tuple[int, Fraction], int] = {}
     for (m, s), h in _divide_v(tilde, G.n - 1, 0).items():
@@ -239,6 +248,7 @@ def top_alexander_level(G: GridDiagram) -> tuple[Fraction, dict[int, int]]:
     generator level; from there it drops by 2, 4, 8, ..., so a walk that
     has to go far down takes logarithmically many rounds.
     """
+    table = _SweepTable(G)
     lowest, floor = _two_a_bounds(G)
     ranked_from = floor + 1  # levels at or above this 2A are ranked, all zero
     step = 2
@@ -246,7 +256,7 @@ def top_alexander_level(G: GridDiagram) -> tuple[Fraction, dict[int, int]]:
         found = list(iter_alexander_levels(G, floor))
         for two_a, levels in reversed(found):
             if two_a < ranked_from:
-                ranks = _level_ranks(G, two_a, levels)
+                ranks = _level_ranks(table, two_a, levels)
                 if ranks:
                     return Fraction(two_a, 2), ranks
         if floor <= lowest:

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .chain import (
+    _SweepTable,
     _grade,
     _grading_tables,
     _minus_terms_from,
@@ -56,13 +57,13 @@ def _sources(G: GridDiagram) -> tuple[Iterable[tuple[int, ...]], str]:
 
 def _check_minus_d_squared(G: GridDiagram) -> CheckResult:
     """d^2 = 0 over GF(2)[U..]: compositions cancel in pairs, exponents added."""
-    n, o, xs = G.n, G.o_rows, G.x_rows
+    table = _SweepTable(G)
     sources, scope = _sources(G)
     odd: set[tuple] = set()
     count = 0
     for x in sources:
-        for y, e1 in _minus_terms_from(x, o, xs, n):
-            for z, e2 in _minus_terms_from(y, o, xs, n):
+        for y, e1 in _minus_terms_from(x, table):
+            for z, e2 in _minus_terms_from(y, table):
                 count += 1
                 key = (x, z, tuple(a + b for a, b in zip(e1, e2)))
                 odd ^= {key}
@@ -84,7 +85,7 @@ def _check_tilde_matches_minus(G: GridDiagram) -> CheckResult:
     terms that sweep no O.  ``rectangles_from`` builds each rectangle
     separately, so it checks the sweep kernel both differentials share.
     """
-    n, o, xs = G.n, G.o_rows, G.x_rows
+    table = _SweepTable(G)
     sources, scope = _sources(G)
     checked = 0
     for x in sources:
@@ -94,8 +95,8 @@ def _check_tilde_matches_minus(G: GridDiagram) -> CheckResult:
             if r.empty and r.x_total == 0
         ]
         want = sorted(y for y, exps in minus if not any(exps))
-        got = sorted(_tilde_target_codes(x, o, xs, n))
-        if sorted(minus) != sorted(_minus_terms_from(x, o, xs, n)) or want != got:
+        got = sorted(_tilde_target_codes(x, table))
+        if sorted(minus) != sorted(_minus_terms_from(x, table)) or want != got:
             return CheckResult(
                 "tilde_matches_minus", False, f"term mismatch at source {x}"
             )
@@ -107,7 +108,7 @@ def _check_grading_laws(G: GridDiagram) -> CheckResult:
     """Generator gradings across each term: M drops by 1 - 2*(O swept) and A
     rises by the O count (the U weights carry degree -2 and -1, restoring the
     drop of the weighted term to exactly one in M and zero in A)."""
-    n, o, xs = G.n, G.o_rows, G.x_rows
+    table = _SweepTable(G)
     tables = _grading_tables(G)
     # Each generator is the target of several terms; grade it once.
     grade = functools.cache(lambda y: _grade(y, tables))
@@ -115,7 +116,7 @@ def _check_grading_laws(G: GridDiagram) -> CheckResult:
     count = 0
     for x in sources:
         m_x, a_x = grade(x)
-        for y, exps in _minus_terms_from(x, o, xs, n):
+        for y, exps in _minus_terms_from(x, table):
             m_y, a_y = grade(y)
             swept = sum(exps)
             if m_x - m_y != 1 - 2 * swept or a_x - a_y != -2 * swept:

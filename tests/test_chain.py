@@ -23,6 +23,7 @@ from gridfloer import (
 )
 from gridfloer.chain import (
     _empty_rectangle_sweep,
+    _SweepTable,
     _minus_terms_from,
     _two_a_bounds,
     iter_alexander_levels,
@@ -285,20 +286,29 @@ def _terms_by_corners(G, x):
     return minus, tilde
 
 
-def _assert_kernel_matches(G, x, corners: bool = False) -> None:
+def _assert_kernel_matches(G, x, table, corners: bool = False) -> None:
     sweep, minus, tilde = _terms_by_rectangles(G, x)
-    got = list(_empty_rectangle_sweep(x, G.o_rows, G.x_rows, G.n))
+    got = list(_empty_rectangle_sweep(x, table))
     assert len(got) == len(set(got)) and set(got) == sweep, (G, x)
-    assert Counter(_minus_terms_from(x, G.o_rows, G.x_rows, G.n)) == minus, (G, x)
+    assert Counter(_minus_terms_from(x, table)) == minus, (G, x)
     assert tilde_targets(G, x) == tilde, (G, x)
     if corners:
         assert _terms_by_corners(G, x) == (minus, tilde), (G, x)
 
 
+def _in_seeded_order(sources, rng: random.Random) -> list:
+    """The sources shuffled, so a grid's shared table is read while partly filled."""
+    sources = list(sources)
+    rng.shuffle(sources)
+    return sources
+
+
 def test_kernel_matches_both_oracles_on_every_grid_of_size_3():
+    rng = random.Random(26)
     for G in all_grids(3):
-        for x in itertools.permutations(range(3)):
-            _assert_kernel_matches(G, x, corners=True)
+        table = _SweepTable(G)
+        for x in _in_seeded_order(itertools.permutations(range(3)), rng):
+            _assert_kernel_matches(G, x, table, corners=True)
 
 
 def test_kernel_matches_rectangles_on_every_generator_of_random_grids():
@@ -306,47 +316,83 @@ def test_kernel_matches_rectangles_on_every_generator_of_random_grids():
     for n in range(2, 7):
         for _ in range(2):
             G = random_grid(n, rng)
-            for x in itertools.permutations(range(n)):
-                _assert_kernel_matches(G, x, corners=n <= 4)
+            table = _SweepTable(G)
+            for x in _in_seeded_order(itertools.permutations(range(n)), rng):
+                _assert_kernel_matches(G, x, table, corners=n <= 4)
 
 
 def test_kernel_matches_rectangles_on_sampled_n7_generators():
     rng = random.Random(28)
     for G in (TWIST7, TORUS25_7, random_knot_grid(7, rng)):
+        table = _SweepTable(G)
         for k in range(120):
-            _assert_kernel_matches(G, tuple(rng.sample(range(7), 7)), corners=k < 4)
+            _assert_kernel_matches(G, tuple(rng.sample(range(7), 7)), table, corners=k < 4)
 
 
 def test_minus_terms_have_no_packing_limit():
     rng = random.Random(29)
     G = random_grid(17, rng)
+    table = _SweepTable(G)
     sources = [tuple(range(17)), tuple(range(16, -1, -1))]
     sources += [tuple(rng.sample(range(17), 17)) for _ in range(6)]
-    for x in sources:
-        _assert_kernel_matches(G, x)
-    assert any(_minus_terms_from(x, G.o_rows, G.x_rows, 17) for x in sources)
+    for x in _in_seeded_order(sources, rng):
+        _assert_kernel_matches(G, x, table)
+    assert any(_minus_terms_from(x, table) for x in sources)
+
+
+def _direct_steps(G, c1: int, r1: int) -> tuple:
+    """The sweep steps from (c1, r1), each minimum taken afresh over its columns."""
+    n = G.n
+    steps = []
+    for width in range(1, n):
+        cols = [(c1 + k) % n for k in range(width)]
+        if any(G.x_rows[c] == r1 for c in cols):
+            break
+        xm = min((G.x_rows[c] - r1) % n for c in cols)
+        om = min((G.o_rows[c] - r1) % n for c in cols)
+        steps.append(((c1 + width) % n, xm, om))
+    return tuple(steps)
+
+
+def test_filled_sweep_table_matches_direct_recomputation():
+    rng = random.Random(30)
+    for n in range(2, 18):
+        for _ in range(2):
+            G = random_grid(n, rng)
+            table = _SweepTable(G)
+            assert all(steps is None for row in table.steps for steps in row)
+            # The n cyclic shifts of the identity put a point on every (c1, r1).
+            for k in _in_seeded_order(range(n), rng):
+                list(_empty_rectangle_sweep(tuple((c + k) % n for c in range(n)), table))
+            for c1 in range(n):
+                for r1 in range(n):
+                    assert table.steps[c1][r1] == _direct_steps(G, c1, r1), (G, c1, r1)
 
 
 def test_kernel_sweeps_wrap_around_the_torus():
     x = (0, 2, 3, 4, 1)
-    got = set(_empty_rectangle_sweep(x, TREFOIL5.o_rows, TREFOIL5.x_rows, 5))
+    table = _SweepTable(TREFOIL5)
+    got = set(_empty_rectangle_sweep(x, table))
     # Columns 4 -> 1 wrap east past column 0; rows 4 -> 1 wrap north past row 0.
     assert got == {(1, 2, True), (2, 3, True), (3, 4, False), (4, 1, False)}
-    _assert_kernel_matches(TREFOIL5, x, corners=True)
+    _assert_kernel_matches(TREFOIL5, x, table, corners=True)
 
 
 def test_x_marking_on_the_left_corner_row_ends_the_sweep():
     # Every X of this trefoil sits in the cell just northeast of the identity
     # generator's point in its column, so each sweep stops at once.
     x = (0, 1, 2, 3, 4)
-    assert list(_empty_rectangle_sweep(x, TREFOIL5.o_rows, TREFOIL5.x_rows, 5)) == []
-    _assert_kernel_matches(TREFOIL5, x, corners=True)
+    table = _SweepTable(TREFOIL5)
+    assert list(_empty_rectangle_sweep(x, table)) == []
+    assert all(table.steps[c][x[c]] == () for c in range(5))
+    _assert_kernel_matches(TREFOIL5, x, table, corners=True)
 
 
 def test_point_one_row_up_ends_the_sweep():
     # Each column's neighbour to the east sits one row higher, so every sweep
     # stops after its first column pair.
     x = tuple(range(7))
-    got = list(_empty_rectangle_sweep(x, TWIST7.o_rows, TWIST7.x_rows, 7))
+    table = _SweepTable(TWIST7)
+    got = list(_empty_rectangle_sweep(x, table))
     assert [(c1, c2) for c1, c2, _ in got] == [(c, (c + 1) % 7) for c in range(7)]
-    _assert_kernel_matches(TWIST7, x, corners=True)
+    _assert_kernel_matches(TWIST7, x, table, corners=True)

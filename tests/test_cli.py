@@ -341,8 +341,40 @@ def test_random_size_at_the_cap_is_emitted(capsys):
 def test_parse_failures_exit_one_with_line_number():
     done = run_cli("validate", "-", stdin="n=2\nO=1,0\nX=zap,1\n")
     assert done.returncode == 1
+    assert done.stdout == "error: GridSyntaxError: line 3: X: 'zap' is not an integer\n"
+    assert done.stderr == ""
+
+
+def test_malformed_block_is_reported_in_stream_and_the_rest_still_run():
+    # Line numbers count from the start of the batch, comments included.
+    stdin = "n=2\nO=1,0\nX=0,1\n\nn=2\nO=1,0\nX=zap,1\n\n# a comment\nn=2\nO=0,0\nX=1,1\n"
+    text = run_cli("validate", "-", stdin=stdin)
+    assert text.returncode == 1
+    assert text.stderr == ""
+    assert text.stdout == (
+        "ok: 2x2 grid, 1 component\n\n"
+        "error: GridSyntaxError: line 7: X: 'zap' is not an integer\n\n"
+        "error: NotAPermutation: O uses row 0 twice\n"
+    )
+    records = run_cli("validate", "--format", "records", "-", stdin=stdin)
+    assert records.returncode == 1
+    assert records.stderr == ""
+    assert [json.loads(line) for line in records.stdout.splitlines()] == [
+        {"verb": "validate", "n": 2, "ok": True, "components": 1},
+        {
+            "verb": "validate",
+            "error": "line 7: X: 'zap' is not an integer",
+            "error_type": "GridSyntaxError",
+        },
+        {"verb": "validate", "error": "O uses row 0 twice", "error_type": "NotAPermutation"},
+    ]
+
+
+def test_input_without_a_grid_stays_on_stderr():
+    done = run_cli("validate", "-", stdin="# only a comment\n\n")
+    assert done.returncode == 1
     assert done.stdout == ""
-    assert "line 3" in done.stderr
+    assert done.stderr == "error: line 2: no grid found\n"
 
 
 def test_unknown_flags_exit_one():

@@ -18,6 +18,7 @@ from gridfloer import (
     serialize_grid,
     successor_permutation,
 )
+from gridfloer.grid import _split_grids
 from gridfloer.errors import (
     GridSyntaxError,
     NotAPermutation,
@@ -103,6 +104,20 @@ def test_parse_error_carries_line_number():
         parse_grid("n=2\nO=1,0\nX=zap,1")
     assert "line 3" in str(err.value)
     assert err.value.line == 3
+
+
+def test_split_blocks_parse_with_the_batch_line_numbers():
+    text = "# two diagrams\nn=2\nO=1,0\nX=0,1\n\n\nn=2\n# inner\nO=1,0\nX=zap,1\n"
+    blocks = _split_grids(text)
+    assert [first for first, _ in blocks] == [2, 7]
+    assert parse_grids(blocks[0][1], blocks[0][0]) == [UNKNOT2]
+    with pytest.raises(GridSyntaxError) as err:
+        parse_grids(blocks[1][1], blocks[1][0])
+    assert err.value.line == 10
+    # The batch as a whole still raises at its first bad block.
+    with pytest.raises(GridSyntaxError) as err:
+        parse_grids(text)
+    assert err.value.line == 10
 
 
 def test_parse_rejects_wrong_line_count():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -32,12 +33,16 @@ from .helpers import (
     FIG8_6,
     HOPF4,
     KNOWN_GRIDS,
+    TORUS25_7,
     TREFOIL5,
+    TWIST7,
     UNKNOT2,
     all_grids,
     d_squared_suite,
     dense_rank,
     oracle_homology,
+    stabilized,
+    torus_grid,
 )
 
 GRIDS_DIR = Path(__file__).resolve().parent.parent / "grids"
@@ -135,9 +140,74 @@ def test_knot_hfk_ranks_match_the_full_walk():
 def test_knot_hfk_ranks_reject_a_table_that_does_not_peel(monkeypatch):
     # Rank 2 at (m, s) = (2, 1) owes C(4, 1) * 2 = 8 at (1, 0), which holds 1.
     fake = {2: {2: 2}, 0: {1: 1}}
-    monkeypatch.setattr(homology, "_level_ranks", lambda G, two_a, levels: fake.get(two_a, {}))
+    monkeypatch.setattr(
+        homology, "_level_ranks", lambda table, two_a, levels: fake.get(two_a, {})
+    )
     with pytest.raises(NotDivisible):
         knot_hfk_ranks(TREFOIL5)
+
+
+def _scan_log(monkeypatch) -> tuple[Counter, list]:
+    """(scans per generator, sweep tables built) by the homology walks, as they run."""
+    scans: Counter = Counter()
+    tables: list = []
+    scan = homology._tilde_target_codes
+
+    class CountedTable(chain._SweepTable):
+        __slots__ = ()
+
+        def __init__(self, G):
+            super().__init__(G)
+            tables.append(self)
+
+    def counted_scan(perm, table):
+        assert table is tables[-1]
+        scans[perm] += 1
+        return scan(perm, table)
+
+    monkeypatch.setattr(homology, "_SweepTable", CountedTable)
+    monkeypatch.setattr(homology, "_tilde_target_codes", counted_scan)
+    return scans, tables
+
+
+def _generators_at_or_above(G, floor: int) -> set:
+    return {
+        x
+        for _, levels in chain.iter_alexander_levels(G, floor)
+        for gens in levels.values()
+        for x in gens
+    }
+
+
+# The knot types of the benchmark's n = 7 workloads.
+N7_KNOTS = (
+    stabilized(UNKNOT2, (7,), random.Random(0xC9))[7],
+    stabilized(FIG8_6, (7,), random.Random(0xC9))[7],
+    TWIST7,
+    TORUS25_7,
+    torus_grid(3, 4),
+)
+
+
+def test_each_walk_builds_one_sweep_table_and_scans_each_generator_once(monkeypatch):
+    scans, tables = _scan_log(monkeypatch)
+    homology_ranks(TREFOIL5)
+    assert len(tables) == 1
+    assert sum(scans.values()) == len(scans) == 120
+    for G in N7_KNOTS:
+        scans.clear()
+        tables.clear()
+        knot_hfk_ranks(G)
+        assert len(tables) == 1, G
+        assert set(scans) == _generators_at_or_above(G, 0), G
+        assert set(scans.values()) == {1}, G
+
+        scans.clear()
+        tables.clear()
+        s, _ = top_alexander_level(G)
+        assert len(tables) == 1, G
+        assert set(scans) == _generators_at_or_above(G, int(2 * s)), G
+        assert set(scans.values()) == {1}, G
 
 
 def test_gf2_rank_matches_dense_elimination():
