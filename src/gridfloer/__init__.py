@@ -63,7 +63,6 @@ from .grid import (
 from .homology import (
     BigradedRanks,
     homology_ranks,
-    knot_hfk_ranks,
     peel_v,
     top_alexander_level,
 )
@@ -127,7 +126,6 @@ __all__ = [
     "successor_permutation",
     "BigradedRanks",
     "homology_ranks",
-    "knot_hfk_ranks",
     "peel_v",
     "top_alexander_level",
     "KnotReport",

@@ -40,7 +40,7 @@ __all__ = ["run", "main"]
 
 # Verbs that compute homology, at a cost exponential in n, and so honor the
 # --max-n guard.  Of these, only FULL_COMPLEX_VERBS enumerate all n!
-# generators on every grid; the knot verbs rank only some Alexander levels.
+# generators on every grid; the others rank only some Alexander levels.
 EXPENSIVE_VERBS = frozenset(
     {"homology", "hfk", "unknot", "genus", "fibered", "alexander", "verify"}
 )
@@ -242,10 +242,13 @@ def _error_entry(verb: str, code: int, err: Exception) -> Entry:
 
 
 def _read_text(path: str) -> str:
+    """The input as text, without the byte-order mark some editors put first."""
     if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+        text = sys.stdin.read()
+    else:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    return text.removeprefix("\ufeff")
 
 
 def _emit(entries: list[Entry], fmt: str) -> int:
@@ -288,8 +291,8 @@ def build_parser() -> argparse.ArgumentParser:
         dest="max_n",
         metavar="N",
         help="refuse the homology verbs above this grid size (default 10);"
-        " their cost grows exponentially with n, and homology, verify and hfk"
-        " on a link enumerate all n! generators",
+        " their cost grows exponentially with n, and homology and verify"
+        " enumerate all n! generators",
     )
     parser = _Parser(
         prog="gridfloer",

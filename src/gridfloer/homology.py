@@ -14,11 +14,10 @@ it carries n - l extra tensor factors V (l the number of link components),
 each V contributing one generator in bidegree (0, 0) and one in (-1, -1).
 One division, ``_divide_v``, takes them back out from the top Alexander
 level down, and it serves both callers.  ``peel_v`` divides a whole rank
-polynomial, exactly.  For a knot, ``knot_hfk_ranks`` needs only the levels
-with A >= 0: V never raises A, so the division stops at A = 0, and the
-symmetry of knot Floer homology under (m, s) -> (m - 2s, -s) gives the
-rest.  Collapsed link homology has no such symmetry, so links go through
-``homology_ranks`` and ``peel_v``.
+polynomial, exactly.  ``hfk_hat`` needs only the levels with 2A >= 1 - l:
+V never raises A, so the division stops there, and the symmetry of link
+Floer homology under (m, s) -> (m - 2s - (l - 1), -s - (l - 1)) gives the
+rest.
 """
 
 from __future__ import annotations
@@ -37,12 +36,12 @@ from .chain import (
 )
 from .errors import NotDivisible
 from .gf2 import gf2_rank
-from .grid import GridDiagram
+from .grid import GridDiagram, link_summary
 
 __all__ = [
     "BigradedRanks",
+    "hfk_hat",
     "homology_ranks",
-    "knot_hfk_ranks",
     "peel_v",
     "top_alexander_level",
 ]
@@ -215,25 +214,27 @@ def _divide_v(
     return quotient
 
 
-def knot_hfk_ranks(G: GridDiagram) -> BigradedRanks:
-    """Hat-flavor knot Floer homology of a knot, from the levels A >= 0 only.
+def hfk_hat(G: GridDiagram) -> BigradedRanks:
+    """Hat-flavor knot (or link) Floer homology, from the levels 2A >= 1 - l only.
 
-    The collapsed ranks are HFK-hat times (1 + t^-1 q^-1) ** (n - 1), and V
-    never raises A, so ``_divide_v`` finds HFK-hat on the levels A >= 0 from
-    those levels alone.  Each H(m, s) with s > 0 is mirrored to (m - 2s, -s).
-    A negative H raises NotDivisible.  The caller checks that G is a knot:
-    the symmetry fails for links.
+    For an l-component link the collapsed ranks are the hat ranks times
+    (1 + t^-1 q^-1) ** (n - l), and V never raises A, so ``_divide_v`` finds
+    the hat ranks on the levels 2A >= 1 - l from those levels alone.  Each
+    H(m, s) there is mirrored to (m - 2s - (l - 1), -s - (l - 1)), the
+    symmetry of link Floer homology about s = -(l - 1)/2.  A negative H
+    raises NotDivisible.
     """
+    shift = link_summary(G).component_count - 1
     table = _SweepTable(G)
     tilde = {
         two_a: _level_ranks(table, two_a, levels)
-        for two_a, levels in iter_alexander_levels(G, 0)
+        for two_a, levels in iter_alexander_levels(G, -shift)
     }
     hat: dict[tuple[int, Fraction], int] = {}
-    for (m, s), h in _divide_v(tilde, G.n - 1, 0).items():
-        hat[(m, s)] = hat[(m - int(2 * s), -s)] = h
+    for (m, s), h in _divide_v(tilde, G.n - 1 - shift, -shift).items():
+        hat[(m, s)] = hat[(m - int(2 * s) - shift, -s - shift)] = h
     if not hat:
-        raise ArithmeticError("knot Floer homology is zero; differential inconsistent")
+        raise ArithmeticError("link Floer homology is zero; differential inconsistent")
     return BigradedRanks.from_dict(hat)
 
 

@@ -8,11 +8,11 @@ graded Euler characteristic is the Alexander polynomial.  Coefficients are
 GF(2) throughout, so genus and fiberedness are delivered by the mod-2
 versions of those detection theorems.
 
-Three routes read the homology.  Genus, fiberedness and unknot detection
-rank only the top Alexander levels (``top_alexander_level``).  The knot
-Floer table of a knot, its Alexander polynomial and the knot report rank
-the levels with A >= 0 (``knot_hfk_ranks``).  A link's table ranks every
-level and divides out the V factors (``homology_ranks`` and ``peel_v``).
+Two routes read the homology.  Genus, fiberedness and unknot detection
+rank only the top Alexander levels (``top_alexander_level``).  The Floer
+table of a knot or link, a knot's Alexander polynomial and the knot report
+rank the levels with 2A >= 1 - l, for l components, and mirror them
+(``hfk_hat``).
 """
 
 from __future__ import annotations
@@ -21,13 +21,10 @@ from dataclasses import dataclass
 
 from .errors import NotAKnot
 from .grid import GridDiagram, link_summary
-from .homology import (
-    BigradedRanks,
-    homology_ranks,
-    knot_hfk_ranks,
-    peel_v,
-    top_alexander_level,
-)
+from .homology import BigradedRanks, hfk_hat, top_alexander_level
+
+# Unused here; kept while the benchmark's tracer wraps them (ROADMAP item 4).
+from .homology import homology_ranks, peel_v  # noqa: F401
 from .laurent import symmetric_normalized
 
 __all__ = [
@@ -45,18 +42,6 @@ def _require_knot(G: GridDiagram, what: str) -> None:
     count = link_summary(G).component_count
     if count != 1:
         raise NotAKnot(f"{what} needs a knot; this grid has {count} components")
-
-
-def hfk_hat(G: GridDiagram) -> BigradedRanks:
-    """Hat-flavor knot (or link) Floer homology ranks, V factors divided out.
-
-    A knot's table comes from its levels A >= 0 alone; a link's from the
-    whole collapsed complex.
-    """
-    components = link_summary(G).component_count
-    if components == 1:
-        return knot_hfk_ranks(G)
-    return peel_v(homology_ranks(G), G.n - components)
 
 
 def genus(G: GridDiagram) -> int:
@@ -103,7 +88,7 @@ def alexander_polynomial(G: GridDiagram) -> dict[int, int]:
     the palindromic representative with positive value at 1.
     """
     _require_knot(G, "the Alexander polynomial")
-    return _alexander_from_ranks(knot_hfk_ranks(G))
+    return _alexander_from_ranks(hfk_hat(G))
 
 
 def _alexander_from_ranks(ranks: BigradedRanks) -> dict[int, int]:
@@ -150,7 +135,7 @@ class KnotReport:
 def build_report(G: GridDiagram) -> KnotReport:
     """Compute the knot Floer homology once and derive all knot invariants from it."""
     _require_knot(G, "the knot report")
-    hat = knot_hfk_ranks(G)
+    hat = hfk_hat(G)
     top = hat.max_alexander()
     assert top.denominator == 1, "knot gradings are integers"
     alex = _alexander_from_ranks(hat)

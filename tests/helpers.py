@@ -41,6 +41,11 @@ HOPF4 = new_grid(4, (2, 3, 0, 1), (0, 1, 2, 3))
 # so a walk from the top generator level must go past empty levels.
 DEEP6 = new_grid(6, (4, 3, 5, 1, 0, 2), (2, 1, 0, 5, 4, 3))
 
+# Links with three and four components whose hat homology spans several
+# Alexander levels: draws 23 and 15 of random_grid from Random(7) and Random(8).
+LINK3_7 = new_grid(7, (6, 5, 4, 3, 2, 0, 1), (2, 0, 6, 1, 4, 5, 3))
+LINK4_8 = new_grid(8, (4, 1, 5, 2, 0, 6, 7, 3), (7, 6, 2, 5, 3, 1, 4, 0))
+
 KNOWN_KNOTS = (UNKNOT2, UNKNOT4, TREFOIL5, FIG8_6, TORUS25_7, TWIST7)
 KNOWN_GRIDS = KNOWN_KNOTS + (HOPF4,)
 

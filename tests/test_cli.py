@@ -223,6 +223,21 @@ def test_input_that_is_not_utf8_fails_cleanly(tmp_path, source):
     assert "Traceback" not in stderr
 
 
+@pytest.mark.parametrize("source", ["file", "stdin"])
+def test_input_with_utf8_bom_parses(tmp_path, source):
+    data = "\ufeff".encode() + (GRIDS_DIR / "trefoil5.grid").read_bytes()
+    path = tmp_path / "bom.grid"
+    path.write_bytes(data)
+    done = subprocess.run(
+        [sys.executable, "-m", "gridfloer", "validate", str(path) if source == "file" else "-"],
+        input=None if source == "file" else data,
+        capture_output=True,
+        env={**os.environ, "PYTHONIOENCODING": "utf-8"},
+        timeout=300,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, b"ok: 5x5 grid, 1 component\n", b"")
+
+
 @pytest.mark.parametrize(
     "jobs,cpus,want", [(5000, 2, 2), (3, 8, 3), (5000, 64, 7), (5000, None, 1)]
 )

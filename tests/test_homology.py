@@ -6,6 +6,7 @@ import itertools
 import random
 from collections import Counter
 from fractions import Fraction
+from math import factorial
 from pathlib import Path
 
 import pytest
@@ -14,8 +15,8 @@ from hypothesis import strategies as st
 
 from gridfloer import (
     BigradedRanks,
+    hfk_hat,
     homology_ranks,
-    knot_hfk_ranks,
     link_summary,
     parse_grids,
     peel_v,
@@ -33,6 +34,8 @@ from .helpers import (
     FIG8_6,
     HOPF4,
     KNOWN_GRIDS,
+    LINK3_7,
+    LINK4_8,
     TORUS25_7,
     TREFOIL5,
     TWIST7,
@@ -119,20 +122,21 @@ def test_top_alexander_level_is_the_top_of_the_full_table():
 
 
 def test_knot_hfk_ranks_match_the_full_walk():
-    # knot_hfk_ranks ranks only the levels with 2A >= 0 and mirrors them;
+    # hfk_hat ranks only the levels with 2A >= 1 - l and mirrors them;
     # homology_ranks ranks every level and peel_v divides the V factors out.
     small, big = d_squared_suite()
     corpus = parse_grids((GRIDS_DIR / "corpus.grids").read_text(encoding="utf-8"))
     grids = small + big + tuple(corpus) + (DEEP6,)
-    knots = [G for G in grids if link_summary(G).component_count == 1]
-    assert len(knots) > 100
+    components = Counter(link_summary(G).component_count for G in grids)
+    assert components[1] > 100 and components[2] > 100 and components[3] > 0
     v = BigradedRanks.v_factor()
-    for G in knots:
+    for G in grids:
+        count = G.n - link_summary(G).component_count
         full = homology_ranks(G)
-        hat = knot_hfk_ranks(G)
-        assert hat == peel_v(full, G.n - 1), G
+        hat = hfk_hat(G)
+        assert hat == peel_v(full, count), G
         collapsed = hat
-        for _ in range(G.n - 1):
+        for _ in range(count):
             collapsed = collapsed * v
         assert collapsed == full, G
 
@@ -144,7 +148,7 @@ def test_knot_hfk_ranks_reject_a_table_that_does_not_peel(monkeypatch):
         homology, "_level_ranks", lambda table, two_a, levels: fake.get(two_a, {})
     )
     with pytest.raises(NotDivisible):
-        knot_hfk_ranks(TREFOIL5)
+        hfk_hat(TREFOIL5)
 
 
 def _scan_log(monkeypatch) -> tuple[Counter, list]:
@@ -194,13 +198,15 @@ def test_each_walk_builds_one_sweep_table_and_scans_each_generator_once(monkeypa
     homology_ranks(TREFOIL5)
     assert len(tables) == 1
     assert sum(scans.values()) == len(scans) == 120
-    for G in N7_KNOTS:
+    for G in N7_KNOTS + (HOPF4, LINK4_8):
         scans.clear()
         tables.clear()
-        knot_hfk_ranks(G)
+        hfk_hat(G)
         assert len(tables) == 1, G
-        assert set(scans) == _generators_at_or_above(G, 0), G
+        floor = 1 - link_summary(G).component_count
+        assert set(scans) == _generators_at_or_above(G, floor), G
         assert set(scans.values()) == {1}, G
+        assert len(scans) < factorial(G.n), G
 
         scans.clear()
         tables.clear()
@@ -225,13 +231,18 @@ def test_gf2_rank_matches_dense_elimination():
 
 
 def test_rank_symmetry_of_peeled_knot_homology():
-    # rank(m, s) == rank(m - 2s, -s) holds after the V factors (which are
-    # not symmetric under this map) are divided out.
-    for G in (TREFOIL5, FIG8_6):
-        count = G.n - 1
+    # For an l-component link, rank(m, s) == rank(m - 2s - (l - 1), -s - (l - 1))
+    # holds after the V factors (which are not symmetric under this map) are
+    # divided out; for a knot that is rank(m, s) == rank(m - 2s, -s).
+    grids = (TREFOIL5, FIG8_6, HOPF4, LINK3_7, LINK4_8)
+    assert [link_summary(G).component_count for G in grids] == [1, 1, 2, 3, 4]
+    for G in grids:
+        shift = link_summary(G).component_count - 1
+        count = G.n - 1 - shift
         ranks = peel_v(homology_ranks(G), count)
+        assert len(ranks.alexander_support()) > 1, G
         for m, s, r in ranks.entries:
-            assert ranks.rank(m - 2 * int(s), -s) == r
+            assert ranks.rank(m - int(2 * s) - shift, -s - shift) == r, G
 
 
 def test_bigraded_ranks_helpers():
