@@ -21,11 +21,12 @@ both gradings are sums of per-point weights plus constants:
 M(x) = #{c < d : x[c] < x[d]} + sum_c wm[c][x[c]] + const.
 ``_grading_tables`` builds the two n-by-n weight tables and both constants
 in one O(n^2) pass per grid, and it is the only code that counts markings:
-grading a single generator, the bounds on 2A and the enumeration all read
-its tables.  The enumeration carries both gradings along a depth-first
-search over the columns, so grading costs O(1) amortized per generator;
-since 2A is a sum over columns, the search can cut off every partial
-generator that cannot reach a given Alexander level.
+grading a single generator and the enumeration both read its tables.
+``_reduced`` shifts them by one maximum-weight assignment so that every 2A
+weight is <= 0 and the constant is the exact top.  The enumeration carries
+both gradings along a depth-first search over the columns on those
+weights, so grading costs O(1) amortized per generator, and it cuts off
+every partial generator whose 2A weights already sum below a floor.
 
 The differentials count empty rectangles: embedded rectangles on the torus
 whose lower-left and upper-right corners are points of the source generator,
@@ -59,7 +60,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, inf
 from typing import Iterator
 
 from .grid import GridDiagram
@@ -430,36 +431,71 @@ def tilde_targets(G: GridDiagram, x: Generator) -> list[Generator]:
 # -- bucketed enumeration ----------------------------------------------------
 
 
-def _two_a_bounds(G: GridDiagram) -> tuple[int, int]:
-    """(lowest, highest) 2A a generator could have: column minima and maxima of wa."""
-    _, wa, _, const_a = _grading_tables(G)
-    return const_a + sum(map(min, wa)), const_a + sum(map(max, wa))
+def _reduced(tables: GradingTables) -> GradingTables:
+    """The same gradings on 2A weights <= 0, with const_a the exact top 2A.
+
+    2A(x) - const_a = sum_c wa[c][x[c]] is the weight of an assignment of
+    rows to columns, so the top 2A is a maximum-weight assignment.  The
+    Hungarian method (Kuhn, 1955) finds one by shortest augmenting paths in
+    O(n^3), with potentials u[c] + v[r] >= wa[c][r], equal on the
+    assignment; u starts at each column's best weight.  Every generator
+    takes each u[c] and v[r] once, so wa - u - v and const_a + sum(u) +
+    sum(v) grade it alike.
+    """
+    wm, wa, const_m, const_a = tables
+    n = len(wa)
+    u = [max(col) for col in wa]
+    v = [0] * (n + 1)  # v[n] belongs to the root of each search
+    owner = [-1] * (n + 1)  # the column holding each row; -1 while free
+    for c in range(n):
+        # Grow a tree of tight edges from column c, Dijkstra-style on the
+        # slacks u + v - wa, until it reaches a free row; then flip the path.
+        owner[n], r = c, n
+        slack, via, done = [inf] * (n + 1), [n] * n, [False] * n + [True]
+        while owner[r] >= 0:
+            at, col, delta = r, owner[r], inf
+            for s in range(n):
+                if not done[s]:
+                    gap = u[col] + v[s] - wa[col][s]
+                    if gap < slack[s]:
+                        slack[s], via[s] = gap, at
+                    if slack[s] < delta:
+                        delta, r = slack[s], s
+            for s in range(n + 1):
+                if done[s]:
+                    u[owner[s]] -= delta
+                    v[s] += delta
+                else:
+                    slack[s] -= delta
+            done[r] = True
+        while r != n:
+            owner[r] = owner[via[r]]
+            r = via[r]
+    reduced = [[w - u[c] - v[r] for r, w in enumerate(col)] for c, col in enumerate(wa)]
+    return wm, reduced, const_m, const_a + sum(u) + sum(v[:n])
 
 
 def iter_alexander_levels(
-    G: GridDiagram, min_two_a: int | None = None
+    G: GridDiagram, min_two_a: int | None = None, tables: GradingTables | None = None
 ) -> Iterator[tuple[int, dict[int, list[Generator]]]]:
     """Yield (doubled Alexander grading, {Maslov: generators}).
 
     Levels come in increasing Alexander order; within a level, generators
     are in lexicographic order.  ``min_two_a`` keeps only the levels with
-    2A >= min_two_a; None keeps all n!.
+    2A >= min_two_a; None keeps all n!.  ``tables``, built here when None,
+    is ``_reduced(_grading_tables(G))``, for a walk to build once.
 
     A depth-first search fixes columns left to right, trying rows in
     increasing order, so generators come in lexicographic order.  M and 2A
     are carried along: placing row r in column c adds the weights wm[c][r]
     and wa[c][r] and, to M, one for each earlier column with a lower row.
-    A partial generator whose 2A plus the largest weights the remaining
-    columns could add stays below ``min_two_a`` is cut off.
+    The reduced 2A weights are <= 0, so a partial generator whose weights
+    sum below min_two_a - const_a cannot recover and is cut off.
     """
     n = G.n
-    wm, wa, const_m, const_a = _grading_tables(G)
-    # reach[c]: the most that columns c..n-1 can still add to 2A.
-    reach = [0] * (n + 1)
-    for c in range(n - 1, -1, -1):
-        reach[c] = reach[c + 1] + max(wa[c])
+    wm, wa, const_m, top = _reduced(_grading_tables(G)) if tables is None else tables
     # With no floor given, the lowest column weights let every generator through.
-    floor = sum(map(min, wa)) if min_two_a is None else min_two_a - const_a
+    floor = sum(map(min, wa)) if min_two_a is None else min_two_a - top
     buckets: dict[int, dict[int, list[Generator]]] = {}
     rows = range(n)
     full = (1 << n) - 1
@@ -468,10 +504,9 @@ def iter_alexander_levels(
 
     def place(c: int, used: int, m: int, two_a: int) -> None:
         row_m, row_a = wm[c], wa[c]
-        need = floor - reach[c + 1]
         for r in rows:
             bit = 1 << r
-            if used & bit or two_a + row_a[r] < need:
+            if used & bit or two_a + row_a[r] < floor:
                 continue
             perm[c] = r
             m_r = m + row_m[r] + (used & (bit - 1)).bit_count()
@@ -484,7 +519,7 @@ def iter_alexander_levels(
             a_last = two_a + row_a[r] + wa_last[last]
             if a_last >= floor:
                 perm[n - 1] = last
-                level = buckets.setdefault(a_last + const_a, {})
+                level = buckets.setdefault(a_last + top, {})
                 m_last = m_r + wm_last[last] + (used_r & ((1 << last) - 1)).bit_count()
                 level.setdefault(m_last, []).append(tuple(perm))
 

@@ -252,12 +252,23 @@ def _read_text(path: str) -> str:
 
 
 def _emit(entries: list[Entry], fmt: str) -> int:
-    if fmt == "records":
-        for _, _, record in entries:
-            sys.stdout.write(json.dumps(record, sort_keys=True) + "\n")
-    else:
-        blocks = ["\n".join(lines) for _, lines, _ in entries]
-        sys.stdout.write("\n\n".join(blocks) + "\n")
+    """Write the entries to stdout and return the worst entry code, or 1 if stdout fails."""
+    try:
+        if fmt == "records":
+            for _, _, record in entries:
+                sys.stdout.write(json.dumps(record, sort_keys=True) + "\n")
+        else:
+            blocks = ["\n".join(lines) for _, lines, _ in entries]
+            sys.stdout.write("\n\n".join(blocks) + "\n")
+        sys.stdout.flush()
+    except OSError as err:
+        # A closed pipe or a full disk.  Python flushes stdout again at exit,
+        # so point it at devnull, as the signal module docs advise for EPIPE.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        sys.stderr.write(f"error: cannot write the output: {err}\n")
+        return 1
     return max(code for code, _, _ in entries)
 
 

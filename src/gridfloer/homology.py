@@ -30,8 +30,9 @@ from typing import Mapping
 from .chain import (
     Generator,
     _SweepTable,
+    _grading_tables,
+    _reduced,
     _tilde_target_codes,
-    _two_a_bounds,
     iter_alexander_levels,
 )
 from .errors import NotDivisible
@@ -241,31 +242,22 @@ def hfk_hat(G: GridDiagram) -> BigradedRanks:
 def top_alexander_level(G: GridDiagram) -> tuple[Fraction, dict[int, int]]:
     """(s, {Maslov: rank}) at the highest Alexander level s with nonzero homology.
 
-    The differential preserves A, so levels are ranked one at a time from
-    the top generator level down, each at most once, and the walk stops at
-    the first with homology.  Generators are enumerated only down to a
-    floor on 2A.  The floor starts at an upper bound on 2A and drops by 2
-    until the first round finds generators, which are exactly the top
-    generator level; from there it drops by 2, 4, 8, ..., so a walk that
-    has to go far down takes logarithmically many rounds.
+    The differential preserves A, so levels are ranked one at a time, each
+    once, from the exact top generator level that ``_reduced`` gives, and
+    the walk stops at the first with homology.  Each round lowers the floor
+    on 2A by 2 and ranks the lowest level enumerated if it is the floor.
+    For an l-component link the walk returns by 2A = 1 - l, the center of
+    the symmetric hat homology; it gives up at the lowest 2A possible.
     """
     table = _SweepTable(G)
-    lowest, floor = _two_a_bounds(G)
-    ranked_from = floor + 1  # levels at or above this 2A are ranked, all zero
-    step = 2
-    while True:
-        found = list(iter_alexander_levels(G, floor))
-        for two_a, levels in reversed(found):
-            if two_a < ranked_from:
-                ranks = _level_ranks(table, two_a, levels)
-                if ranks:
-                    return Fraction(two_a, 2), ranks
-        if floor <= lowest:
-            raise ArithmeticError("collapsed homology is zero; differential inconsistent")
-        ranked_from = floor
-        floor -= step
-        if found:
-            step *= 2
+    _, wa, _, top = tables = _reduced(_grading_tables(G))
+    for floor in range(top, top + sum(map(min, wa)) - 1, -2):
+        two_a, levels = next(iter_alexander_levels(G, floor, tables))
+        if two_a == floor:
+            ranks = _level_ranks(table, two_a, levels)
+            if ranks:
+                return Fraction(two_a, 2), ranks
+    raise ArithmeticError("collapsed homology is zero; differential inconsistent")
 
 
 def peel_v(poly: BigradedRanks, count: int) -> BigradedRanks:

@@ -40,6 +40,11 @@ HOPF4 = new_grid(4, (2, 3, 0, 1), (0, 1, 2, 3))
 # A knot whose generators reach 2A = 2 but whose homology tops out at A = 0,
 # so a walk from the top generator level must go past empty levels.
 DEEP6 = new_grid(6, (4, 3, 5, 1, 0, 2), (2, 1, 0, 5, 4, 3))
+# An unknot whose generators top out at 2A = 2, far below the sum of the
+# column maxima of its 2A weights; its homology sits at A = 0 alone.
+UNKNOT12 = new_grid(
+    12, (6, 5, 10, 1, 9, 8, 7, 0, 2, 11, 4, 3), (5, 2, 0, 3, 7, 4, 8, 11, 1, 9, 6, 10)
+)
 
 # Links with three and four components whose hat homology spans several
 # Alexander levels: draws 23 and 15 of random_grid from Random(7) and Random(8).

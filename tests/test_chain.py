@@ -24,13 +24,17 @@ from gridfloer import (
 from gridfloer.chain import (
     _empty_rectangle_sweep,
     _SweepTable,
+    _grade,
+    _grading_tables,
     _minus_terms_from,
-    _two_a_bounds,
+    _reduced,
     iter_alexander_levels,
 )
 
 from .helpers import (
     FIG8_6,
+    HOPF4,
+    LINK3_7,
     TORUS25_7,
     TREFOIL5,
     TWIST7,
@@ -117,12 +121,27 @@ def test_min_two_a_keeps_exactly_the_levels_at_or_above_it():
     grids = [TREFOIL5, FIG8_6, TWIST7] + [random_grid(n, rng) for n in (2, 3, 4, 5, 6)]
     for G in grids:
         full = _levels(G)
-        lowest, highest = _two_a_bounds(G)
-        assert lowest <= full[0][0] and full[-1][0] <= highest
+        assert _reduced(_grading_tables(G))[3] == full[-1][0], G
         for floor in range(full[0][0] - 3, full[-1][0] + 4):
             assert _levels(G, floor) == [lv for lv in full if lv[0] >= floor], (G, floor)
         assert _levels(G, full[-1][0] + 1) == []
         assert _levels(G, full[0][0] - 1) == full
+
+
+def test_reduced_tables_are_exact_against_brute_force():
+    # The assignment solve keeps every 2A, moves the weights to <= 0 and
+    # puts the highest level in const_a, on knots and links alike.
+    rng = random.Random(25)
+    grids = [HOPF4, LINK3_7] + [random_grid(rng.randint(2, 7), rng) for _ in range(60)]
+    grids += [random_knot_grid(n, rng) for n in (5, 6, 7)]
+    for G in grids:
+        tables = _grading_tables(G)
+        reduced = _reduced(tables)
+        assert reduced[0] is tables[0] and reduced[2] == tables[2], G
+        assert all(w <= 0 for col in reduced[1] for w in col), G
+        grades = [_grade(x, tables) for x in itertools.permutations(range(G.n))]
+        assert [_grade(x, reduced) for x in itertools.permutations(range(G.n))] == grades, G
+        assert reduced[3] == max(two_a for _, two_a in grades), G
 
 
 def test_rectangles_need_exactly_two_moved_columns():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import errno
 import io
 import json
 import os
@@ -408,6 +409,64 @@ def test_help_exits_zero():
     done = run_cli("--help")
     assert done.returncode == 0
     assert "VERB" in done.stdout
+
+
+class _FailingStdout(io.StringIO):
+    """A stdout whose writes raise ``err``, on a file descriptor of its own."""
+
+    def __init__(self, err: OSError, fd: int):
+        super().__init__()
+        self.err, self.fd = err, fd
+
+    def write(self, s):
+        raise self.err
+
+    def fileno(self):
+        return self.fd
+
+
+@pytest.mark.parametrize(
+    "err",
+    [BrokenPipeError(errno.EPIPE, "Broken pipe"), OSError(errno.ENOSPC, "No space left")],
+)
+def test_failed_write_to_stdout_is_one_error_line(monkeypatch, capsys, tmp_path, err):
+    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+    try:
+        monkeypatch.setattr("sys.stdout", _FailingStdout(err, fd))
+        code = cli.run(["validate", str(GRIDS_DIR / "corpus.grids")])
+    finally:
+        os.close(fd)
+    stderr = capsys.readouterr().err
+    assert code == 1
+    assert stderr.startswith("error:") and stderr.count("\n") == 1, stderr
+    assert "Traceback" not in stderr
+
+
+def _validate_into(stdout) -> subprocess.Popen:
+    # Buffered stdout, as by default: Python flushes it once more at exit,
+    # and that flush must not fail and print "Exception ignored" either.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    cmd = [sys.executable, "-m", "gridfloer", "validate", str(GRIDS_DIR / "corpus.grids")]
+    return subprocess.Popen(cmd, stdout=stdout, stderr=subprocess.PIPE, text=True, env=env)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_full_device_on_stdout_exits_one_without_traceback():
+    with open("/dev/full", "w") as full, _validate_into(full) as proc:
+        stderr = proc.stderr.read()
+    assert proc.returncode == 1
+    assert stderr.startswith("error:") and stderr.count("\n") == 1, stderr
+    assert "Traceback" not in stderr
+
+
+def test_closed_pipe_on_stdout_exits_one_without_traceback():
+    # The reader is gone before the first write.
+    with _validate_into(subprocess.PIPE) as proc:
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+    assert proc.returncode == 1
+    assert stderr.startswith("error:") and stderr.count("\n") == 1, stderr
+    assert "Traceback" not in stderr
 
 
 def test_not_divisible_maps_to_exit_two(monkeypatch):

@@ -15,8 +15,12 @@ from hypothesis import strategies as st
 
 from gridfloer import (
     BigradedRanks,
+    GridMove,
+    MoveKind,
+    apply_move,
     hfk_hat,
     homology_ranks,
+    is_unknot,
     link_summary,
     parse_grids,
     peel_v,
@@ -40,6 +44,7 @@ from .helpers import (
     TREFOIL5,
     TWIST7,
     UNKNOT2,
+    UNKNOT12,
     all_grids,
     d_squared_suite,
     dense_rank,
@@ -214,6 +219,64 @@ def test_each_walk_builds_one_sweep_table_and_scans_each_generator_once(monkeypa
         assert len(tables) == 1, G
         assert set(scans) == _generators_at_or_above(G, int(2 * s)), G
         assert set(scans.values()) == {1}, G
+
+
+def _enumeration_log(monkeypatch) -> list[int]:
+    """Generators yielded per ``iter_alexander_levels`` call of the homology walks."""
+    calls: list[int] = []
+    enumerate_levels = homology.iter_alexander_levels
+
+    def counted(*args, **kwargs):
+        calls.append(0)
+        for two_a, levels in enumerate_levels(*args, **kwargs):
+            calls[-1] += sum(map(len, levels.values()))
+            yield two_a, levels
+
+    monkeypatch.setattr(homology, "iter_alexander_levels", counted)
+    return calls
+
+
+def test_top_level_walk_does_the_same_work_under_every_torus_translation(monkeypatch):
+    # A torus translation relabels the complex and keeps every level's size,
+    # and the walk starts at the exact top, so its rounds cannot depend on
+    # where the grid was cut.
+    calls = _enumeration_log(monkeypatch)
+    for G in N7_KNOTS:
+        work = set()
+        for rows, cols in itertools.product(range(G.n), repeat=2):
+            moved = apply_move(G, GridMove(MoveKind.CYCLIC_ROW, rows))
+            moved = apply_move(moved, GridMove(MoveKind.CYCLIC_COLUMN, cols))
+            calls.clear()
+            top_alexander_level(moved)
+            work.add(tuple(calls))
+        assert len(work) == 1, (G, work)
+
+
+def test_each_walk_solves_the_assignment_once(monkeypatch):
+    solves = []
+    solve = chain._reduced
+
+    def counted(tables):
+        solves.append(tables)
+        return solve(tables)
+
+    monkeypatch.setattr(chain, "_reduced", counted)
+    monkeypatch.setattr(homology, "_reduced", counted)
+    for G in N7_KNOTS + (DEEP6, HOPF4, LINK4_8):
+        for walk in (top_alexander_level, hfk_hat):
+            solves.clear()
+            walk(G)
+            assert len(solves) == 1, (G, walk)
+
+
+def test_n12_unknot_walk_starts_at_the_exact_top():
+    # The column maxima of the 2A weights bound this grid's 2A by 12; a
+    # walk started there enumerates five empty rounds (floors 12 to 4) first.
+    tables = chain._reduced(chain._grading_tables(UNKNOT12))
+    assert tables[3] == 2
+    [(two_a, levels)] = chain.iter_alexander_levels(UNKNOT12, 2, tables)
+    assert two_a == 2 and sum(map(len, levels.values())) == 1952
+    assert is_unknot(UNKNOT12)
 
 
 def test_gf2_rank_matches_dense_elimination():
