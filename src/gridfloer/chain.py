@@ -45,9 +45,11 @@ depends on the grid and that point only, not on the rest of the
 generator, so it is kept in a per-grid ``_SweepTable``: an n-by-n table of
 step lists, each filled on the first sweep from its point.  A walk over
 many generators builds one table and passes it down, so the kernel itself
-tracks only the generator's own points.  The full differential keeps all
-of the rectangles and records the O markings swept; the collapsed one
-keeps only the O-free ones.
+tracks only the generator's own points.  The full differential sweeps a
+table that stops only at X markings, and records the O markings each
+rectangle sweeps.  The collapsed one sweeps a collapsed table, which
+treats every O as an X, so the kernel yields only the marking-free
+rectangles and its sweeps end at the first marking of either kind.
 ``rectangles_from`` builds each rectangle separately, cell by cell, and
 serves as the public API and as the independent check on the kernel.
 
@@ -290,33 +292,44 @@ class _SweepTable:
     for c2 = c1 + 1, c1 + 2, ... (mod n), where xm and om are the least
     offsets (row - r1) % n of the X and O markings of columns c1..c2-1.  The
     steps end before the first column whose X sits on row r1, since that X
-    lies in every wider rectangle.  A walk over many generators of one grid
-    builds one table and passes it down; each entry costs O(n) once.  It is
-    filled lazily because all n^2 entries cost O(n^3), more than a detection
-    walk that sweeps only a few generators spends in the kernel.
+    lies in every wider rectangle.
+
+    A ``collapsed`` table, for the complex with every U_c set to 0, treats
+    each O as an X: its steps end before the first column with an X or an O
+    on row r1, and xm and om are both the least offset over both kinds.  So
+    every rectangle the kernel yields from it avoids every marking, and the
+    sweeps stop as soon as no wider rectangle can.
+
+    A walk over many generators of one grid builds one table and passes it
+    down; each entry costs O(n) once.  It is filled lazily because all n^2
+    entries cost O(n^3), more than a detection walk that sweeps only a few
+    generators spends in the kernel.
     """
 
-    __slots__ = ("n", "o_rows", "x_rows", "steps")
+    __slots__ = ("n", "o_rows", "x_rows", "collapsed", "steps")
 
-    def __init__(self, G: GridDiagram):
+    def __init__(self, G: GridDiagram, collapsed: bool = False):
         self.n, self.o_rows, self.x_rows = G.n, G.o_rows, G.x_rows
+        self.collapsed = collapsed
         self.steps: list[list[tuple[tuple[int, int, int], ...] | None]] = [
             [None] * G.n for _ in range(G.n)
         ]
 
     def fill(self, c1: int, r1: int) -> tuple[tuple[int, int, int], ...]:
         """Compute, store and return ``steps[c1][r1]``."""
-        n, o_rows, x_rows = self.n, self.o_rows, self.x_rows
+        n, o_rows, x_rows, collapsed = self.n, self.o_rows, self.x_rows, self.collapsed
         out = []
         xm = om = n
         for c in range(c1, c1 + n - 1):
             c %= n
             x = (x_rows[c] - r1) % n
+            o = (o_rows[c] - r1) % n
+            if collapsed:
+                x = o = x if x < o else o
             if x == 0:
                 break
             if x < xm:
                 xm = x
-            o = (o_rows[c] - r1) % n
             if o < om:
                 om = o
             out.append(((c + 1) % n, xm, om))
@@ -338,6 +351,8 @@ def _empty_rectangle_sweep(
     rectangle is empty iff h < block, avoids every X iff h <= xm and every
     O iff h <= om.  A point at h == 1 blocks every wider rectangle, so it
     ends the sweep for c1, as the table's steps end at an X at offset 0.
+    From a collapsed table xm == om, so every rectangle yielded is
+    marking-free.
     """
     n, rows = table.n, table.steps
     for c1, r1 in enumerate(perm):
@@ -401,15 +416,15 @@ def minus_differential(G: GridDiagram) -> Iterator[MinusTerm]:
 def _tilde_target_codes(perm: Generator, table: _SweepTable) -> list[Generator]:
     """Targets, as generator tuples, of the marking-free empty rectangles from perm.
 
-    One per O-free rectangle of the sweep: perm with the rows of the two
+    ``table`` is a collapsed ``_SweepTable``, so every rectangle of the sweep
+    is marking-free and gives one target: perm with the rows of the two
     corner columns swapped.  A target both rectangles reach is listed twice.
     """
     out = []
-    for c1, c2, o_free in _empty_rectangle_sweep(perm, table):
-        if o_free:
-            y = list(perm)
-            y[c1], y[c2] = y[c2], y[c1]
-            out.append(tuple(y))
+    for c1, c2, _ in _empty_rectangle_sweep(perm, table):
+        y = list(perm)
+        y[c1], y[c2] = y[c2], y[c1]
+        out.append(tuple(y))
     return out
 
 
@@ -423,7 +438,7 @@ def tilde_targets(G: GridDiagram, x: Generator) -> list[Generator]:
     _check_generator(G, x)
     x = tuple(x)
     hits: set[Generator] = set()
-    for y in _tilde_target_codes(x, _SweepTable(G)):
+    for y in _tilde_target_codes(x, _SweepTable(G, collapsed=True)):
         hits ^= {y}
     return sorted(hits)
 

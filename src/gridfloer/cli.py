@@ -262,18 +262,29 @@ def _emit(entries: list[Entry], fmt: str) -> int:
             sys.stdout.write("\n\n".join(blocks) + "\n")
         sys.stdout.flush()
     except OSError as err:
-        # A closed pipe or a full disk.  Python flushes stdout again at exit,
-        # so point it at devnull, as the signal module docs advise for EPIPE.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
-        sys.stderr.write(f"error: cannot write the output: {err}\n")
-        return 1
+        return _stdout_failed(err)
     return max(code for code, _, _ in entries)
+
+
+def _stdout_failed(err: OSError) -> int:
+    """Report a failed write to stdout in one line on stderr, and return 1.
+
+    A closed pipe or a full disk.  Python flushes stdout again at exit, so
+    point it at devnull, as the signal module docs advise for EPIPE.
+    """
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
+    sys.stderr.write(f"error: cannot write the output: {err}\n")
+    return 1
 
 
 class _Parser(argparse.ArgumentParser):
     """Usage mistakes are invalid input (exit 1), never an internal alarm."""
+
+    def print_help(self, file=None):
+        # argparse's own printer swallows an OSError, and the help with it.
+        (sys.stdout if file is None else file).write(self.format_help())
 
     def error(self, message: str):
         self.print_usage(sys.stderr)
@@ -362,10 +373,16 @@ def run(argv: list[str] | None = None) -> int:
     try:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
-        code = exc.code
-        if code is None:
-            return 0
+        # Usage errors exit 1; --help exits 0 once its text is written.
+        code = 0 if exc.code is None else exc.code
+        if code == 0:
+            try:
+                sys.stdout.flush()
+            except OSError as err:
+                return _stdout_failed(err)
         return code if isinstance(code, int) else 1
+    except OSError as err:  # --help, to a stdout that fails
+        return _stdout_failed(err)
     if args.jobs < 1:
         sys.stderr.write("error: --jobs must be at least 1\n")
         return 1

@@ -134,7 +134,7 @@ def _boundary_rows(table: _SweepTable, levels: Mapping[int, list[Generator]]):
     Yields (m, rows) for each Maslov level m in increasing order.  rows[j] is
     the mod-2 boundary of the j-th source at m as an int bitset over the
     lexicographic index of the generators at m - 1.  ``table`` is the
-    grid's sweep table, shared by every level of one walk.
+    grid's collapsed sweep table, shared by every level of one walk.
     """
     index = {m: {x: i for i, x in enumerate(gens)} for m, gens in levels.items()}
     for m in sorted(levels):
@@ -175,7 +175,7 @@ def homology_ranks(G: GridDiagram) -> BigradedRanks:
     are indexed in lexicographic order, boundary rows are built as int
     bitsets, and only ranks survive the level.
     """
-    table = _SweepTable(G)
+    table = _SweepTable(G, collapsed=True)
     ranks: dict[tuple[int, Fraction], int] = {}
     for two_a, levels in iter_alexander_levels(G):
         s = Fraction(two_a, 2)
@@ -226,7 +226,7 @@ def hfk_hat(G: GridDiagram) -> BigradedRanks:
     raises NotDivisible.
     """
     shift = link_summary(G).component_count - 1
-    table = _SweepTable(G)
+    table = _SweepTable(G, collapsed=True)
     tilde = {
         two_a: _level_ranks(table, two_a, levels)
         for two_a, levels in iter_alexander_levels(G, -shift)
@@ -249,7 +249,7 @@ def top_alexander_level(G: GridDiagram) -> tuple[Fraction, dict[int, int]]:
     For an l-component link the walk returns by 2A = 1 - l, the center of
     the symmetric hat homology; it gives up at the lowest 2A possible.
     """
-    table = _SweepTable(G)
+    table = _SweepTable(G, collapsed=True)
     _, wa, _, top = tables = _reduced(_grading_tables(G))
     for floor in range(top, top + sum(map(min, wa)) - 1, -2):
         two_a, levels = next(iter_alexander_levels(G, floor, tables))

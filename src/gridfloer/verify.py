@@ -81,11 +81,13 @@ def _check_tilde_matches_minus(G: GridDiagram) -> CheckResult:
     """Both differentials keep exactly the rectangles built one by one.
 
     The full differential has one term per empty rectangle avoiding every X,
-    weighted by the O markings it sweeps; setting every U to zero keeps the
-    terms that sweep no O.  ``rectangles_from`` builds each rectangle
-    separately, so it checks the sweep kernel both differentials share.
+    weighted by the O markings it sweeps, and comes from a table that stops
+    at X markings only; setting every U to zero keeps the terms that sweep
+    no O, which come from a collapsed table that stops at both kinds.
+    ``rectangles_from`` builds each rectangle separately, so it checks the
+    sweep kernel both differentials share on both kinds of table.
     """
-    table = _SweepTable(G)
+    table, collapsed = _SweepTable(G), _SweepTable(G, collapsed=True)
     sources, scope = _sources(G)
     checked = 0
     for x in sources:
@@ -95,7 +97,7 @@ def _check_tilde_matches_minus(G: GridDiagram) -> CheckResult:
             if r.empty and r.x_total == 0
         ]
         want = sorted(y for y, exps in minus if not any(exps))
-        got = sorted(_tilde_target_codes(x, table))
+        got = sorted(_tilde_target_codes(x, collapsed))
         if sorted(minus) != sorted(_minus_terms_from(x, table)) or want != got:
             return CheckResult(
                 "tilde_matches_minus", False, f"term mismatch at source {x}"

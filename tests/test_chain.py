@@ -305,10 +305,24 @@ def _terms_by_corners(G, x):
     return minus, tilde
 
 
-def _assert_kernel_matches(G, x, table, corners: bool = False) -> None:
+def _both_tables(G) -> tuple:
+    """A fresh X-only sweep table and a fresh collapsed one for G."""
+    return _SweepTable(G), _SweepTable(G, collapsed=True)
+
+
+def _assert_kernel_matches(G, x, tables, corners: bool = False) -> None:
+    """Both kinds of sweep table against the rectangles built one by one.
+
+    ``tables`` is (X-only, collapsed), as from ``_both_tables``: the
+    collapsed sweep must yield exactly the O-free rectangles of the X-only
+    one, every one of them flagged O-free.
+    """
+    table, collapsed = tables
     sweep, minus, tilde = _terms_by_rectangles(G, x)
     got = list(_empty_rectangle_sweep(x, table))
     assert len(got) == len(set(got)) and set(got) == sweep, (G, x)
+    marking_free = sorted(_empty_rectangle_sweep(x, collapsed))
+    assert marking_free == sorted(t for t in got if t[2]), (G, x)
     assert Counter(_minus_terms_from(x, table)) == minus, (G, x)
     assert tilde_targets(G, x) == tilde, (G, x)
     if corners:
@@ -325,9 +339,9 @@ def _in_seeded_order(sources, rng: random.Random) -> list:
 def test_kernel_matches_both_oracles_on_every_grid_of_size_3():
     rng = random.Random(26)
     for G in all_grids(3):
-        table = _SweepTable(G)
+        tables = _both_tables(G)
         for x in _in_seeded_order(itertools.permutations(range(3)), rng):
-            _assert_kernel_matches(G, x, table, corners=True)
+            _assert_kernel_matches(G, x, tables, corners=True)
 
 
 def test_kernel_matches_rectangles_on_every_generator_of_random_grids():
@@ -335,41 +349,47 @@ def test_kernel_matches_rectangles_on_every_generator_of_random_grids():
     for n in range(2, 7):
         for _ in range(2):
             G = random_grid(n, rng)
-            table = _SweepTable(G)
+            tables = _both_tables(G)
             for x in _in_seeded_order(itertools.permutations(range(n)), rng):
-                _assert_kernel_matches(G, x, table, corners=n <= 4)
+                _assert_kernel_matches(G, x, tables, corners=n <= 4)
 
 
 def test_kernel_matches_rectangles_on_sampled_n7_generators():
     rng = random.Random(28)
     for G in (TWIST7, TORUS25_7, random_knot_grid(7, rng)):
-        table = _SweepTable(G)
+        tables = _both_tables(G)
         for k in range(120):
-            _assert_kernel_matches(G, tuple(rng.sample(range(7), 7)), table, corners=k < 4)
+            _assert_kernel_matches(G, tuple(rng.sample(range(7), 7)), tables, corners=k < 4)
 
 
 def test_minus_terms_have_no_packing_limit():
     rng = random.Random(29)
     G = random_grid(17, rng)
-    table = _SweepTable(G)
+    table, _ = tables = _both_tables(G)
     sources = [tuple(range(17)), tuple(range(16, -1, -1))]
     sources += [tuple(rng.sample(range(17), 17)) for _ in range(6)]
     for x in _in_seeded_order(sources, rng):
-        _assert_kernel_matches(G, x, table)
+        _assert_kernel_matches(G, x, tables)
     assert any(_minus_terms_from(x, table) for x in sources)
 
 
-def _direct_steps(G, c1: int, r1: int) -> tuple:
-    """The sweep steps from (c1, r1), each minimum taken afresh over its columns."""
+def _direct_steps(G, c1: int, r1: int, collapsed: bool = False) -> tuple:
+    """The sweep steps from (c1, r1), each minimum taken afresh over its columns.
+
+    The steps end at an X on row r1; collapsed, at an X or an O on row r1,
+    with both offsets the least over both marking kinds.
+    """
     n = G.n
     steps = []
     for width in range(1, n):
         cols = [(c1 + k) % n for k in range(width)]
-        if any(G.x_rows[c] == r1 for c in cols):
+        xs = [(G.x_rows[c] - r1) % n for c in cols]
+        os_ = [(G.o_rows[c] - r1) % n for c in cols]
+        if collapsed:
+            xs = os_ = xs + os_
+        if 0 in xs:
             break
-        xm = min((G.x_rows[c] - r1) % n for c in cols)
-        om = min((G.o_rows[c] - r1) % n for c in cols)
-        steps.append(((c1 + width) % n, xm, om))
+        steps.append(((c1 + width) % n, min(xs), min(os_)))
     return tuple(steps)
 
 
@@ -378,40 +398,43 @@ def test_filled_sweep_table_matches_direct_recomputation():
     for n in range(2, 18):
         for _ in range(2):
             G = random_grid(n, rng)
-            table = _SweepTable(G)
-            assert all(steps is None for row in table.steps for steps in row)
             # The n cyclic shifts of the identity put a point on every (c1, r1).
-            for k in _in_seeded_order(range(n), rng):
-                list(_empty_rectangle_sweep(tuple((c + k) % n for c in range(n)), table))
-            for c1 in range(n):
-                for r1 in range(n):
-                    assert table.steps[c1][r1] == _direct_steps(G, c1, r1), (G, c1, r1)
+            shifts = _in_seeded_order(range(n), rng)
+            for table in _both_tables(G):
+                assert all(steps is None for row in table.steps for steps in row)
+                for k in shifts:
+                    list(_empty_rectangle_sweep(tuple((c + k) % n for c in range(n)), table))
+                for c1 in range(n):
+                    for r1 in range(n):
+                        want = _direct_steps(G, c1, r1, table.collapsed)
+                        assert table.steps[c1][r1] == want, (G, table.collapsed, c1, r1)
 
 
 def test_kernel_sweeps_wrap_around_the_torus():
     x = (0, 2, 3, 4, 1)
-    table = _SweepTable(TREFOIL5)
+    table, collapsed = tables = _both_tables(TREFOIL5)
     got = set(_empty_rectangle_sweep(x, table))
     # Columns 4 -> 1 wrap east past column 0; rows 4 -> 1 wrap north past row 0.
     assert got == {(1, 2, True), (2, 3, True), (3, 4, False), (4, 1, False)}
-    _assert_kernel_matches(TREFOIL5, x, table, corners=True)
+    assert set(_empty_rectangle_sweep(x, collapsed)) == {(1, 2, True), (2, 3, True)}
+    _assert_kernel_matches(TREFOIL5, x, tables, corners=True)
 
 
 def test_x_marking_on_the_left_corner_row_ends_the_sweep():
     # Every X of this trefoil sits in the cell just northeast of the identity
     # generator's point in its column, so each sweep stops at once.
     x = (0, 1, 2, 3, 4)
-    table = _SweepTable(TREFOIL5)
+    table, _ = tables = _both_tables(TREFOIL5)
     assert list(_empty_rectangle_sweep(x, table)) == []
     assert all(table.steps[c][x[c]] == () for c in range(5))
-    _assert_kernel_matches(TREFOIL5, x, table, corners=True)
+    _assert_kernel_matches(TREFOIL5, x, tables, corners=True)
 
 
 def test_point_one_row_up_ends_the_sweep():
     # Each column's neighbour to the east sits one row higher, so every sweep
     # stops after its first column pair.
     x = tuple(range(7))
-    table = _SweepTable(TWIST7)
+    table, _ = tables = _both_tables(TWIST7)
     got = list(_empty_rectangle_sweep(x, table))
     assert [(c1, c2) for c1, c2, _ in got] == [(c, (c + 1) % 7) for c in range(7)]
-    _assert_kernel_matches(TWIST7, x, table, corners=True)
+    _assert_kernel_matches(TWIST7, x, tables, corners=True)

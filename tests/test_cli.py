@@ -459,6 +459,39 @@ def test_full_device_on_stdout_exits_one_without_traceback():
     assert "Traceback" not in stderr
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("verb", [[], ["homology"]], ids=["top", "homology"])
+def test_help_to_a_full_device_exits_one_without_traceback(verb, unbuffered):
+    # Buffered, the help fails in the flush; unbuffered, in the write itself.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    cmd = [sys.executable, "-m", "gridfloer", *verb, "--help"]
+    with open("/dev/full", "w") as full:
+        done = subprocess.run(
+            cmd, stdout=full, stderr=subprocess.PIPE, text=True, env=env, timeout=60
+        )
+    assert done.returncode == 1
+    assert done.stderr.startswith("error:") and done.stderr.count("\n") == 1, done.stderr
+    assert "Exception ignored" not in done.stderr and "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize("verb", [[], ["homology"]], ids=["top", "homology"])
+def test_help_to_a_closed_pipe_is_one_error_line(monkeypatch, capsys, tmp_path, verb):
+    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+    try:
+        err = BrokenPipeError(errno.EPIPE, "Broken pipe")
+        monkeypatch.setattr("sys.stdout", _FailingStdout(err, fd))
+        code = cli.run([*verb, "--help"])
+    finally:
+        os.close(fd)
+    stderr = capsys.readouterr().err
+    assert code == 1
+    assert stderr.startswith("error:") and stderr.count("\n") == 1, stderr
+    assert "Exception ignored" not in stderr and "Traceback" not in stderr
+
+
 def test_closed_pipe_on_stdout_exits_one_without_traceback():
     # The reader is gone before the first write.
     with _validate_into(subprocess.PIPE) as proc:

@@ -157,7 +157,11 @@ def test_knot_hfk_ranks_reject_a_table_that_does_not_peel(monkeypatch):
 
 
 def _scan_log(monkeypatch) -> tuple[Counter, list]:
-    """(scans per generator, sweep tables built) by the homology walks, as they run."""
+    """(scans per generator, sweep tables built) by the homology walks, as they run.
+
+    Every table a walk builds must be collapsed: the walks rank the complex
+    with every U_c set to 0, which counts only marking-free rectangles.
+    """
     scans: Counter = Counter()
     tables: list = []
     scan = homology._tilde_target_codes
@@ -165,8 +169,9 @@ def _scan_log(monkeypatch) -> tuple[Counter, list]:
     class CountedTable(chain._SweepTable):
         __slots__ = ()
 
-        def __init__(self, G):
-            super().__init__(G)
+        def __init__(self, G, collapsed=False):
+            super().__init__(G, collapsed)
+            assert collapsed, "a homology walk built an X-only sweep table"
             tables.append(self)
 
     def counted_scan(perm, table):
@@ -291,6 +296,24 @@ def test_gf2_rank_matches_dense_elimination():
     assert gf2_rank([0, 0]) == 0
     assert gf2_rank([1, 2, 4]) == 3
     assert gf2_rank([3, 3, 1]) == 2
+
+
+def test_gf2_rank_matches_dense_elimination_on_wide_sparse_rows():
+    # Boundary rows span many machine words and hold a few bits each.
+    rng = random.Random(44)
+    for _ in range(12):
+        cols = rng.randint(70, 300)
+        packed = []
+        for _ in range(rng.randint(30, 100)):
+            packed.append(sum(1 << c for c in rng.sample(range(cols), rng.randint(1, 4))))
+        # Duplicates, sums of two earlier rows and zero rows are all dependent.
+        packed += rng.sample(packed, 5)
+        packed += [rng.choice(packed) ^ rng.choice(packed) for _ in range(10)]
+        packed += [0] * rng.randint(1, 5)
+        rng.shuffle(packed)
+        assert 40 <= len(packed) <= 120
+        dense = [[row >> c & 1 for c in range(cols)] for row in packed]
+        assert gf2_rank(packed) == dense_rank(dense), (cols, packed)
 
 
 def test_rank_symmetry_of_peeled_knot_homology():
