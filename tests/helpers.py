@@ -6,8 +6,9 @@ sets, rectangles by exhaustive enumeration of all n^4 corner choices,
 components by union-find over link segments, homology by a dense
 Gaussian elimination pipeline built only on those oracles, the knot
 Floer homology of torus knots by a closed form that needs no complex at
-all, the winding-number determinant by expansion over permutations, and
-domain boundaries by the original per-point loop.  Agreement between a
+all, the winding-number determinant by expansion over permutations,
+domain boundaries by the original per-point loop, and the Lipshitz index
+by its definition over the four cells at each generator point.  Agreement between a
 fast path and its oracle is evidence for both.
 """
 
@@ -398,3 +399,38 @@ def oracle_check_domain(source, target, multiplicities) -> None:
                 raise BoundaryMismatch(
                     f"boundary defect {g_left - g_here - expected} at lattice point ({c}, {j})"
                 )
+
+
+# -- Lipshitz index oracle -----------------------------------------------------
+
+
+def oracle_euler_measure(multiplicities) -> Fraction:
+    """e(D): each cell's Euler measure, 1 - (right-angle corners)/4, times its multiplicity."""
+    corner = Fraction(1, 4)
+    return sum(
+        (Fraction(mult) * (1 - 4 * corner) for col in multiplicities for mult in col),
+        Fraction(0),
+    )
+
+
+def oracle_point_multiplicity(multiplicities, c: int, r: int) -> Fraction:
+    """n_p at lattice point (c, r): the mean of the four cells that meet there."""
+    n = len(multiplicities)
+    quadrants = [
+        multiplicities[c % n][r % n],  # north-east
+        multiplicities[(c - 1) % n][r % n],  # north-west
+        multiplicities[(c - 1) % n][(r - 1) % n],  # south-west
+        multiplicities[c % n][(r - 1) % n],  # south-east
+    ]
+    return Fraction(sum(quadrants), len(quadrants))
+
+
+def oracle_maslov_index(source, target, multiplicities) -> Fraction:
+    """mu(D) = e(D) + the sum of n_p over the points of source and of target.
+
+    A point that both generators share enters once for each.
+    """
+    points = list(enumerate(source)) + list(enumerate(target))
+    return oracle_euler_measure(multiplicities) + sum(
+        (oracle_point_multiplicity(multiplicities, c, r) for c, r in points), Fraction(0)
+    )

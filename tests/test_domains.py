@@ -11,6 +11,7 @@ import pytest
 from gridfloer import (
     GridDomain,
     add_domains,
+    domains,
     euler_measure,
     from_rectangle,
     maslov,
@@ -23,7 +24,14 @@ from gridfloer import (
 )
 from gridfloer.errors import BoundaryMismatch, PointNotCorner
 
-from .helpers import TREFOIL5, all_grids, oracle_check_domain
+from .helpers import (
+    TREFOIL5,
+    all_grids,
+    oracle_check_domain,
+    oracle_euler_measure,
+    oracle_maslov_index,
+    oracle_point_multiplicity,
+)
 
 
 def _empty_rect(G, rng):
@@ -98,6 +106,21 @@ def test_point_multiplicity_wraps_modularly():
     rng = random.Random(34)
     D = from_rectangle(_empty_rect(TREFOIL5, rng))
     assert point_multiplicity(D, 0, 0) == point_multiplicity(D, 5, 5)
+
+
+def test_vertex_multiplicity_wraps_modularly():
+    # The rectangle from (0, 0) to (1, 1) of the identity generator.
+    rect = next(r for r in rectangles_from(TREFOIL5, (0, 1, 2, 3, 4)) if (r.c1, r.c2) == (0, 1))
+    D = from_rectangle(rect)
+    points = set(enumerate(D.source)) | set(enumerate(D.target))
+    assert (0, 0) in points
+    for c, r in points:
+        want = vertex_multiplicity(D, (c, r))
+        for dc, dr in ((5, 0), (-5, 0), (0, 5), (0, -5), (10, -5)):
+            assert vertex_multiplicity(D, (c + dc, r + dr)) == want
+    c, r = next((c, r) for c in range(5) for r in range(5) if (c, r) not in points)
+    with pytest.raises(PointNotCorner):
+        vertex_multiplicity(D, (c + 5, r - 5))
 
 
 def test_empty_rectangle_has_index_exactly_one():
@@ -247,3 +270,131 @@ def test_boundary_check_matches_the_per_point_loop():
         accepted += want is None
         rejected += want is not None
     assert accepted > 2000 and rejected > 2000
+
+
+def _outcome(x, y, m):
+    """The boundary check's verdict, None or the message, from the domain and the oracle."""
+    verdicts = []
+    for check in (GridDomain, oracle_check_domain):
+        try:
+            check(x, y, m)
+            verdicts.append(None)
+        except BoundaryMismatch as err:
+            verdicts.append(str(err))
+    return verdicts
+
+
+def test_one_table_validates_against_many_generator_pairs():
+    # A small pool of tables, each checked against every (source, target)
+    # pair in a shuffled order, twice over: the table-only facts come from
+    # the memo after the first pair, and every table with a valid pair sees
+    # a valid pair after an invalid one and an invalid pair after a valid one.
+    rng = random.Random(42)
+    hits = domains._table_facts.cache_info().hits
+    checks = with_valid = 0
+    for n in (3, 4):
+        perms = list(itertools.permutations(range(n)))
+        pool = set()
+        while len(pool) < 8:
+            x, y = rng.choice(perms), rng.choice(perms)
+            pool.add(_random_table(rng, n, x, y))
+        pairs = [(x, y) for x in perms for y in perms]
+        for m in sorted(pool):
+            flips = set()
+            previous = None
+            for x, y in rng.sample(pairs, len(pairs)) + rng.sample(pairs, len(pairs)):
+                got, want = _outcome(x, y, m)
+                assert got == want, (x, y, m)
+                if previous is not None and (got is None) != previous:
+                    flips.add(got is None)
+                previous = got is None
+                checks += 1
+            if flips:
+                assert flips == {True, False}, m
+                with_valid += 1
+    assert with_valid >= 8
+    assert domains._table_facts.cache_info().hits - hits >= checks - 16
+
+
+def _periodic_table(rng: random.Random, n: int):
+    heights = [rng.randint(-2, 2) for _ in range(n)]
+    if rng.random() < 0.5:
+        return tuple(tuple(heights) for _ in range(n))
+    return tuple((h,) * n for h in heights)
+
+
+def _assert_index_matches_the_oracle(D):
+    m = D.multiplicities
+    mu = oracle_maslov_index(D.source, D.target, m)
+    e = oracle_euler_measure(m)
+    assert maslov_index(D) == mu
+    assert euler_measure(D) == e
+    assert total_N(D) == mu - e
+    n = D.n
+    for c in range(-1, n + 1):
+        for r in range(-1, n + 1):
+            assert point_multiplicity(D, c, r) == oracle_point_multiplicity(m, c, r)
+
+
+def test_index_functions_match_the_definition():
+    rng = random.Random(43)
+    accepted = periodic = composed = 0
+    while accepted < 300:
+        n = rng.randint(2, 6)
+        x = tuple(rng.sample(range(n), n))
+        y = list(x)
+        c1, c2 = rng.sample(range(n), 2)
+        y[c1], y[c2] = y[c2], y[c1]
+        y = tuple(y) if rng.random() < 0.7 else x
+        m = _random_table(rng, n, x, y)
+        try:
+            oracle_check_domain(x, y, m)
+        except BoundaryMismatch:
+            continue
+        _assert_index_matches_the_oracle(GridDomain(x, y, m))
+        accepted += 1
+    while periodic < 100:
+        n = rng.randint(2, 6)
+        x = tuple(rng.sample(range(n), n))
+        _assert_index_matches_the_oracle(GridDomain(x, x, _periodic_table(rng, n)))
+        periodic += 1
+    while composed < 100:
+        G = random_grid(rng.randint(3, 6), rng)
+        x = tuple(rng.sample(range(G.n), G.n))
+        D = from_rectangle(rng.choice(list(rectangles_from(G, x))))
+        for _ in range(rng.randint(1, 3)):
+            if rng.random() < 0.3:
+                step = GridDomain(D.target, D.target, _periodic_table(rng, G.n))
+            else:
+                step = from_rectangle(rng.choice(list(rectangles_from(G, D.target))))
+            D = add_domains(D, step)
+        _assert_index_matches_the_oracle(D)
+        composed += 1
+
+
+def test_memos_stay_within_their_bounds():
+    # At n = 11 the affine permutations c -> a*c + b (mod 11) have every
+    # rectangle shape (c1, r1, width, height) exactly once among their
+    # rectangles: 12,100 shapes, each with its own table, more than either
+    # memo keeps.
+    n = 11
+    G = random_grid(n, random.Random(44))
+    shapes = set()
+    try:
+        for a in range(1, n):
+            for b in range(n):
+                x = tuple((a * c + b) % n for c in range(n))
+                for r in rectangles_from(G, x):
+                    shapes.add((r.c1, r.r1, r.width, r.height))
+                    assert (maslov_index(from_rectangle(r)) == 1) == r.empty
+        assert len(shapes) == n * n * (n - 1) ** 2
+        for memo, bound in (
+            (domains._table_facts, domains._TABLE_MEMO_SIZE),
+            (domains._rectangle_table, domains._SHAPE_MEMO_SIZE),
+        ):
+            info = memo.cache_info()
+            assert info.maxsize == bound < len(shapes)
+            assert info.currsize <= bound
+    finally:
+        domains._table_facts.cache_clear()
+        domains._rectangle_table.cache_clear()
