@@ -51,7 +51,9 @@ rectangle sweeps.  The collapsed one sweeps a collapsed table, which
 treats every O as an X, so the kernel yields only the marking-free
 rectangles and its sweeps end at the first marking of either kind.
 ``rectangles_from`` builds each rectangle separately, cell by cell, and
-serves as the public API and as the independent check on the kernel.
+serves as the public API and as the independent check on the kernel.  The
+markings a rectangle covers depend on the grid and its shape only, so they
+are counted once per shape and kept in a bounded memo.
 
 Generators are permutation tuples throughout, from the enumeration to the
 boundary rows, so only the cost, factorial in n, limits the grid size.
@@ -59,6 +61,7 @@ boundary rows, so only the cost, factorial in n, limits the grid size.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -164,7 +167,7 @@ def bigrading(G: GridDiagram, x: Generator) -> tuple[int, Fraction]:
     return m, Fraction(two_a, 2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Rectangle:
     """An embedded rectangle on the torus connecting two generators.
 
@@ -215,6 +218,32 @@ class Rectangle:
                 yield (self.c1 + i) % n, (self.r1 + j) % n
 
 
+# Entries the marking-count memo keeps: room for every rectangle shape
+# (c1, r1, width, height) of one grid through n = 10, n^2 (n - 1)^2 = 8,100.
+_MARKING_MEMO_SIZE = 8_192
+
+
+@functools.lru_cache(maxsize=_MARKING_MEMO_SIZE)
+def _marking_counts(
+    o_rows: tuple[int, ...], x_rows: tuple[int, ...], c1: int, r1: int, w: int, h: int
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(o_count, x_count) of the rectangle of width w and height h at (c1, r1).
+
+    They depend on the grid and the shape only, not on the generators, and a
+    shape recurs across many generators, so they are counted once per shape.
+    """
+    n = len(o_rows)
+    o_in = [0] * n
+    x_in = [0] * n
+    for k in range(w):
+        c = (c1 + k) % n
+        if (o_rows[c] - r1) % n < h:
+            o_in[c] = 1
+        if (x_rows[c] - r1) % n < h:
+            x_in[c] = 1
+    return tuple(o_in), tuple(x_in)
+
+
 def _build_rectangle(G: GridDiagram, x: Generator, c1: int, c2: int) -> Rectangle:
     n = G.n
     r1, r2 = x[c1], x[c2]
@@ -226,17 +255,10 @@ def _build_rectangle(G: GridDiagram, x: Generator, c1: int, c2: int) -> Rectangl
         if 0 < (x[c] - r1) % n < h:
             empty = False
             break
-    o_in = [0] * n
-    x_in = [0] * n
-    for k in range(w):
-        c = (c1 + k) % n
-        if (G.o_rows[c] - r1) % n < h:
-            o_in[c] = 1
-        if (G.x_rows[c] - r1) % n < h:
-            x_in[c] = 1
+    o_in, x_in = _marking_counts(G.o_rows, G.x_rows, c1, r1, w, h)
     y = list(x)
     y[c1], y[c2] = r2, r1
-    return Rectangle(tuple(x), tuple(y), c1, r1, c2, r2, tuple(o_in), tuple(x_in), empty)
+    return Rectangle(tuple(x), tuple(y), c1, r1, c2, r2, o_in, x_in, empty)
 
 
 def rectangles(G: GridDiagram, x: Generator, y: Generator) -> list[Rectangle]:

@@ -21,18 +21,21 @@ alone: where its boundary fails to close up along the horizontal circles,
 the four-cell sum around each lattice point, and the sum of all cells.
 ``verify`` builds one domain per (generator, rectangle) pair, and each
 rectangle shape recurs across many generators, so those facts are worked
-out once per distinct table and kept in a memo keyed by the table; a
-domain then costs O(n) to validate and to index, against the generator
-points alone.  ``from_rectangle`` hands back one shared table per
-rectangle shape from a second memo.  Both keep at most 8,192 entries
-(least recently used out first): room for every rectangle shape of every
-grid up to n = 10, n^2 (n - 1)^2 = 8,100 of them.
+out once per distinct table and kept in a memo keyed by the table.  Each
+domain looks its table up once, when it is validated, and keeps the facts
+for the index.  A domain then costs one O(n^2) hash of its table (tuples
+do not cache their hash) plus O(n) work against the generator points,
+instead of O(n^2) arithmetic on the table.  ``from_rectangle`` hands back
+one shared table per rectangle shape from a second memo.  Both keep at
+most 8,192 entries (least recently used out first): room for every
+rectangle shape of every grid up to n = 10, n^2 (n - 1)^2 = 8,100 of
+them.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -109,12 +112,14 @@ class GridDomain:
     ``multiplicities[c][r]`` is the coefficient of the cell whose lower-left
     lattice corner is (c, r).  Negative coefficients are allowed.  Validated
     on construction: along each horizontal circle the boundary segments must
-    begin at points of ``source`` and end at points of ``target``.
+    begin at points of ``source`` and end at points of ``target``.  The
+    table's ``_TableFacts``, looked up once for that, stay on the domain.
     """
 
     source: Generator
     target: Generator
     multiplicities: _Table
+    _facts: _TableFacts = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = tuple(map(tuple, self.multiplicities))
@@ -127,7 +132,9 @@ class GridDomain:
             raise BoundaryMismatch(f"multiplicity table must be {n}x{n}")
         # The table's defect must be +1 at (c, target[c]) and -1 at
         # (c, source[c]) in each column where the two differ, and 0 elsewhere.
-        defect = _table_facts(m).defect
+        facts = _table_facts(m)
+        object.__setattr__(self, "_facts", facts)
+        defect = facts.defect
         moved = 0
         for c, (s, t) in enumerate(zip(self.source, self.target)):
             if s != t:
@@ -197,13 +204,13 @@ def euler_measure(D: GridDomain) -> Fraction:
     grid domain.  Computed, not assumed, so the index formula below reads as
     written.
     """
-    return Fraction(_four_euler(_table_facts(D.multiplicities)), 4)
+    return Fraction(_four_euler(D._facts), 4)
 
 
 def point_multiplicity(D: GridDomain, c: int, r: int) -> Fraction:
     """Average multiplicity n_p of the four cells around lattice point (c, r)."""
     n = D.n
-    return Fraction(_table_facts(D.multiplicities).four_n[c % n][r % n], 4)
+    return Fraction(D._facts.four_n[c % n][r % n], 4)
 
 
 def vertex_multiplicity(D: GridDomain, point: tuple[int, int]) -> Fraction:
@@ -224,7 +231,7 @@ def total_N(D: GridDomain) -> Fraction:
 
     Points shared by both generators count twice, once per generator.
     """
-    return Fraction(_four_total_N(D, _table_facts(D.multiplicities)), 4)
+    return Fraction(_four_total_N(D, D._facts), 4)
 
 
 def maslov_index(D: GridDomain) -> Fraction:
@@ -234,5 +241,5 @@ def maslov_index(D: GridDomain) -> Fraction:
     rectangle raises it by 2 (its four full quadrants enter through both the
     source copy and the target copy).
     """
-    facts = _table_facts(D.multiplicities)
+    facts = D._facts
     return Fraction(_four_euler(facts) + _four_total_N(D, facts), 4)

@@ -14,9 +14,9 @@ import functools
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Iterable
 
 from .chain import (
+    Rectangle,
     _SweepTable,
     _grade,
     _grading_tables,
@@ -45,9 +45,9 @@ class CheckResult:
     detail: str = ""
 
 
-def _sources(G: GridDiagram) -> tuple[Iterable[tuple[int, ...]], str]:
+def _sources(G: GridDiagram) -> tuple[list[tuple[int, ...]], str]:
     if G.n <= EXHAUSTIVE_LIMIT:
-        return itertools.permutations(range(G.n)), "all generators"
+        return list(itertools.permutations(range(G.n))), "all generators"
     rng = random.Random(SAMPLE_SEED)
     sample = [
         tuple(rng.sample(range(G.n), G.n)) for _ in range(SAMPLE_SIZE)
@@ -55,15 +55,50 @@ def _sources(G: GridDiagram) -> tuple[Iterable[tuple[int, ...]], str]:
     return sample, f"{SAMPLE_SIZE} sampled generators"
 
 
-def _check_minus_d_squared(G: GridDiagram) -> CheckResult:
+class _Run:
+    """The work the checks of one ``run_checks`` share, each piece done once.
+
+    ``terms(x)`` is ``_minus_terms_from`` on one X-only sweep table, kept
+    for every source: ``minus_d_squared`` reads it for sources and middle
+    generators alike, ``tilde_matches_minus`` and ``grading_laws`` for
+    sources.  A middle generator that is not a source (only when sources are
+    sampled) is swept each time it is met, not kept.
+    ``rectangles(x)`` is the list ``rectangles_from`` builds for source x,
+    read by ``tilde_matches_minus`` and ``index_one_iff_empty``; so every
+    source's list is held from the first of those checks to the end of the
+    second.  The run is dropped before ``peel_exact``.
+    """
+
+    def __init__(self, G: GridDiagram):
+        self.G = G
+        self.sources, self.scope = _sources(G)
+        self.table = _SweepTable(G)
+        # A source's terms once swept; None until then.
+        self._terms: dict[tuple[int, ...], list | None] = dict.fromkeys(self.sources)
+        self._rectangles: dict[tuple[int, ...], list[Rectangle]] = {}
+
+    def terms(self, x: tuple[int, ...]) -> list:
+        terms = self._terms.get(x)
+        if terms is None:
+            terms = _minus_terms_from(x, self.table)
+            if x in self._terms:
+                self._terms[x] = terms
+        return terms
+
+    def rectangles(self, x: tuple[int, ...]) -> list[Rectangle]:
+        rects = self._rectangles.get(x)
+        if rects is None:
+            rects = self._rectangles[x] = list(rectangles_from(self.G, x))
+        return rects
+
+
+def _check_minus_d_squared(run: _Run) -> CheckResult:
     """d^2 = 0 over GF(2)[U..]: compositions cancel in pairs, exponents added."""
-    table = _SweepTable(G)
-    sources, scope = _sources(G)
     odd: set[tuple] = set()
     count = 0
-    for x in sources:
-        for y, e1 in _minus_terms_from(x, table):
-            for z, e2 in _minus_terms_from(y, table):
+    for x in run.sources:
+        for y, e1 in run.terms(x):
+            for z, e2 in run.terms(y):
                 count += 1
                 key = (x, z, tuple(a + b for a, b in zip(e1, e2)))
                 odd ^= {key}
@@ -74,10 +109,10 @@ def _check_minus_d_squared(G: GridDiagram) -> CheckResult:
             False,
             f"odd composite count from {x} to {z} with exponents {exps}",
         )
-    return CheckResult("minus_d_squared", True, f"{count} composites over {scope}")
+    return CheckResult("minus_d_squared", True, f"{count} composites over {run.scope}")
 
 
-def _check_tilde_matches_minus(G: GridDiagram) -> CheckResult:
+def _check_tilde_matches_minus(run: _Run) -> CheckResult:
     """Both differentials keep exactly the rectangles built one by one.
 
     The full differential has one term per empty rectangle avoiding every X,
@@ -87,38 +122,35 @@ def _check_tilde_matches_minus(G: GridDiagram) -> CheckResult:
     ``rectangles_from`` builds each rectangle separately, so it checks the
     sweep kernel both differentials share on both kinds of table.
     """
-    table, collapsed = _SweepTable(G), _SweepTable(G, collapsed=True)
-    sources, scope = _sources(G)
+    collapsed = _SweepTable(run.G, collapsed=True)
     checked = 0
-    for x in sources:
+    for x in run.sources:
         minus = [
             (r.target, r.o_count)
-            for r in rectangles_from(G, x)
+            for r in run.rectangles(x)
             if r.empty and r.x_total == 0
         ]
         want = sorted(y for y, exps in minus if not any(exps))
         got = sorted(_tilde_target_codes(x, collapsed))
-        if sorted(minus) != sorted(_minus_terms_from(x, table)) or want != got:
+        if sorted(minus) != sorted(run.terms(x)) or want != got:
             return CheckResult(
                 "tilde_matches_minus", False, f"term mismatch at source {x}"
             )
         checked += len(got)
-    return CheckResult("tilde_matches_minus", True, f"{checked} terms over {scope}")
+    return CheckResult("tilde_matches_minus", True, f"{checked} terms over {run.scope}")
 
 
-def _check_grading_laws(G: GridDiagram) -> CheckResult:
+def _check_grading_laws(run: _Run) -> CheckResult:
     """Generator gradings across each term: M drops by 1 - 2*(O swept) and A
     rises by the O count (the U weights carry degree -2 and -1, restoring the
     drop of the weighted term to exactly one in M and zero in A)."""
-    table = _SweepTable(G)
-    tables = _grading_tables(G)
+    tables = _grading_tables(run.G)
     # Each generator is the target of several terms; grade it once.
     grade = functools.cache(lambda y: _grade(y, tables))
-    sources, scope = _sources(G)
     count = 0
-    for x in sources:
+    for x in run.sources:
         m_x, a_x = grade(x)
-        for y, exps in _minus_terms_from(x, table):
+        for y, exps in run.terms(x):
             m_y, a_y = grade(y)
             swept = sum(exps)
             if m_x - m_y != 1 - 2 * swept or a_x - a_y != -2 * swept:
@@ -129,15 +161,14 @@ def _check_grading_laws(G: GridDiagram) -> CheckResult:
                     f" with {swept} O markings swept",
                 )
             count += 1
-    return CheckResult("grading_laws", True, f"{count} terms over {scope}")
+    return CheckResult("grading_laws", True, f"{count} terms over {run.scope}")
 
 
-def _check_index_one_iff_empty(G: GridDiagram) -> CheckResult:
+def _check_index_one_iff_empty(run: _Run) -> CheckResult:
     """Lipshitz index via domains is 1 exactly on empty rectangles."""
-    sources, scope = _sources(G)
     count = 0
-    for x in sources:
-        for rect in rectangles_from(G, x):
+    for x in run.sources:
+        for rect in run.rectangles(x):
             mu = maslov_index(from_rectangle(rect))
             if (mu == 1) != rect.empty:
                 return CheckResult(
@@ -146,7 +177,7 @@ def _check_index_one_iff_empty(G: GridDiagram) -> CheckResult:
                     f"rectangle {x} -> {rect.target} has index {mu}, empty={rect.empty}",
                 )
             count += 1
-    return CheckResult("index_one_iff_empty", True, f"{count} rectangles over {scope}")
+    return CheckResult("index_one_iff_empty", True, f"{count} rectangles over {run.scope}")
 
 
 def _check_peel_exact(G: GridDiagram) -> CheckResult:
@@ -163,10 +194,13 @@ def _check_peel_exact(G: GridDiagram) -> CheckResult:
 
 def run_checks(G: GridDiagram) -> list[CheckResult]:
     """Run every structural check; order and content are deterministic."""
-    return [
-        _check_minus_d_squared(G),
-        _check_tilde_matches_minus(G),
-        _check_grading_laws(G),
-        _check_index_one_iff_empty(G),
-        _check_peel_exact(G),
+    run = _Run(G)
+    results = [
+        _check_minus_d_squared(run),
+        _check_tilde_matches_minus(run),
+        _check_grading_laws(run),
+        _check_index_one_iff_empty(run),
     ]
+    del run  # free the held terms and rectangles before the homology walk
+    results.append(_check_peel_exact(G))
+    return results

@@ -23,6 +23,7 @@ from gridfloer import (
 )
 from gridfloer.chain import (
     _empty_rectangle_sweep,
+    _marking_counts,
     _SweepTable,
     _grade,
     _grading_tables,
@@ -177,6 +178,35 @@ def test_rectangle_pair_is_complementary():
         for r in pair:
             assert r.source == x and r.target == tuple(y)
             assert (r.source[r.c1], r.source[r.c2]) == (r.r1, r.r2)
+
+
+def test_memoised_marking_counts_match_a_cell_by_cell_recount():
+    # Every shape (c1, r1, width, height) of a seeded random grid per size,
+    # wrapping ones included, reached from two generators each: the first
+    # fills the memo, the second reads it.
+    rng = random.Random(23)
+    _marking_counts.cache_clear()
+    for n in range(2, 9):
+        G = random_grid(n, rng)
+        shapes = 0
+        for c1, r1 in itertools.product(range(n), repeat=2):
+            for w, h in itertools.product(range(1, n), repeat=2):
+                c2, r2 = (c1 + w) % n, (r1 + h) % n
+                for _ in range(2):
+                    rest = rng.sample([r for r in range(n) if r not in (r1, r2)], n - 2)
+                    x = [rest.pop() if c not in (c1, c2) else 0 for c in range(n)]
+                    x[c1], x[c2] = r1, r2
+                    y = list(x)
+                    y[c1], y[c2] = r2, r1
+                    [rect] = [r for r in rectangles(G, tuple(x), tuple(y)) if r.c1 == c1]
+                    assert (rect.width, rect.height) == (w, h)
+                    cells = set(rect.cells())
+                    assert rect.o_count == tuple(int((c, G.o_rows[c]) in cells) for c in range(n))
+                    assert rect.x_count == tuple(int((c, G.x_rows[c]) in cells) for c in range(n))
+                shapes += 1
+        assert shapes == n * n * (n - 1) ** 2
+    # The second generator of each shape found its counts in the memo.
+    assert _marking_counts.cache_info().hits >= sum(n * n * (n - 1) ** 2 for n in range(2, 9))
 
 
 def test_empty_rectangles_match_corner_oracle_exhaustively():

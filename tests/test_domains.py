@@ -316,6 +316,34 @@ def test_one_table_validates_against_many_generator_pairs():
     assert domains._table_facts.cache_info().hits - hits >= checks - 16
 
 
+def test_each_domain_looks_up_its_table_once():
+    # Validation looks the table up; the index functions read the facts the
+    # domain keeps, so one domain costs one lookup however much it is read.
+    rng = random.Random(45)
+    info = domains._table_facts.cache_info()
+    before = info.hits + info.misses
+    built = 0
+    for _ in range(40):
+        G = random_grid(rng.randint(2, 6), rng)
+        x = tuple(rng.sample(range(G.n), G.n))
+        for r in rectangles_from(G, x):
+            D = from_rectangle(r)
+            built += 1
+            maslov_index(D)
+            total_N(D)
+            euler_measure(D)
+            point_multiplicity(D, r.c1, r.r1)
+            vertex_multiplicity(D, (r.c2, r.r2))
+            info = domains._table_facts.cache_info()
+            assert info.hits + info.misses == before + built
+        zero = GridDomain(r.target, r.target, ((0,) * G.n,) * G.n)
+        D = add_domains(from_rectangle(r), zero)
+        built += 3
+        maslov_index(D)
+        info = domains._table_facts.cache_info()
+        assert info.hits + info.misses == before + built
+
+
 def _periodic_table(rng: random.Random, n: int):
     heights = [rng.randint(-2, 2) for _ in range(n)]
     if rng.random() < 0.5:

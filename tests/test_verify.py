@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -44,6 +46,33 @@ def test_all_checks_pass_on_random_grids():
 def test_pass_details_describe_the_scope():
     for result in run_checks(KNOWN_GRIDS[0]):
         assert result.detail
+
+
+def _spy(monkeypatch, name: str) -> list:
+    """Record the arguments of every call ``verify`` makes to ``name``."""
+    real = getattr(verify, name)
+    seen = []
+
+    def spy(*args):
+        seen.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(verify, name, spy)
+    return seen
+
+
+def test_one_run_builds_each_source_and_term_list_once(monkeypatch):
+    rects = _spy(monkeypatch, "rectangles_from")
+    terms = _spy(monkeypatch, "_minus_terms_from")
+    domains = _spy(monkeypatch, "from_rectangle")
+    indexed = _spy(monkeypatch, "maslov_index")
+    results = run_checks(TREFOIL5)
+    assert all(r.passed for r in results)
+    gens = Counter(itertools.permutations(range(5)))
+    assert Counter(x for _, x in rects) == gens
+    assert Counter(x for x, _ in terms) == gens
+    # Every (generator, rectangle) pair is still validated and indexed.
+    assert len(domains) == len(indexed) == 120 * 20
 
 
 def _index_three_on_one_empty_rectangle(monkeypatch) -> list:
