@@ -101,7 +101,7 @@ def generator_count(G: GridDiagram) -> int:
 
 
 def _check_generator(G: GridDiagram, x: Generator) -> None:
-    if len(x) != G.n or sorted(x) != list(range(G.n)):
+    if len(x) != G.n or any(type(r) is not int for r in x) or sorted(x) != list(range(G.n)):
         raise ValueError(f"{x!r} is not a permutation of 0..{G.n - 1}")
 
 
@@ -218,12 +218,13 @@ class Rectangle:
                 yield (self.c1 + i) % n, (self.r1 + j) % n
 
 
-# Entries the marking-count memo keeps: room for every rectangle shape
-# (c1, r1, width, height) of one grid through n = 10, n^2 (n - 1)^2 = 8,100.
-_MARKING_MEMO_SIZE = 8_192
+# Entries each per-shape memo keeps, here and in ``domains``: room for every
+# rectangle shape (c1, r1, width, height) of an n-by-n grid through n = 10,
+# n^2 (n - 1)^2 = 8,100 of them.
+_MEMO_SIZE = 8_192
 
 
-@functools.lru_cache(maxsize=_MARKING_MEMO_SIZE)
+@functools.lru_cache(maxsize=_MEMO_SIZE)
 def _marking_counts(
     o_rows: tuple[int, ...], x_rows: tuple[int, ...], c1: int, r1: int, w: int, h: int
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:

@@ -8,6 +8,12 @@ input; the process exit code is the worst entry code: 0 fine, 1 bad input,
 2 internal alarm (a structural self-check or exact division failed, or the
 computation raised any other exception, meaning a bug here rather than in
 the input).
+
+``_VERBS`` is the one table of the verbs that read grids: each verb's
+handler, its cost class and its help line.  The cost class decides whether
+``--max-n`` refuses a grid before the handler runs: None for the cheap
+verbs, "levels" for those that rank some Alexander levels and "all" for
+those that enumerate all n! generators, whose refusal quotes n!.
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ import json
 import os
 import random
 import sys
+from collections.abc import Callable
 from math import factorial
 from multiprocessing import Pool
 
@@ -38,15 +45,8 @@ from .verify import run_checks
 
 __all__ = ["run", "main"]
 
-# Verbs that compute homology, at a cost exponential in n, and so honor the
-# --max-n guard.  Of these, only FULL_COMPLEX_VERBS enumerate all n!
-# generators on every grid; the others rank only some Alexander levels.
-EXPENSIVE_VERBS = frozenset(
-    {"homology", "hfk", "unknot", "genus", "fibered", "alexander", "verify"}
-)
-FULL_COMPLEX_VERBS = frozenset({"homology", "verify"})
-
 Entry = tuple[int, list[str], dict]
+Handler = Callable[[GridDiagram, dict], Entry]
 
 # What the NotAKnot error names on a link, the same for every knot verb.
 KNOT_VERBS_NAME = "the knot report"
@@ -123,30 +123,15 @@ def _h_hfk(G: GridDiagram, opts: dict) -> Entry:
     return 0, lines, record
 
 
-def _h_unknot(G: GridDiagram, opts: dict) -> Entry:
-    _require_knot(G, KNOT_VERBS_NAME)
-    value = is_unknot(G)
-    return 0, [f"unknot: {'true' if value else 'false'}"], {
-        "verb": "unknot",
-        "n": G.n,
-        "unknot": value,
-    }
+def _knot_verb(verb: str, invariant: Callable[[GridDiagram], bool | int]) -> Handler:
+    """The handler of a knot verb: the line ``verb: value``, a bool as true or false."""
 
+    def handler(G: GridDiagram, opts: dict) -> Entry:
+        _require_knot(G, KNOT_VERBS_NAME)
+        value = invariant(G)
+        return 0, [f"{verb}: {str(value).lower()}"], {"verb": verb, "n": G.n, verb: value}
 
-def _h_genus(G: GridDiagram, opts: dict) -> Entry:
-    _require_knot(G, KNOT_VERBS_NAME)
-    value = genus(G)
-    return 0, [f"genus: {value}"], {"verb": "genus", "n": G.n, "genus": value}
-
-
-def _h_fibered(G: GridDiagram, opts: dict) -> Entry:
-    _require_knot(G, KNOT_VERBS_NAME)
-    value = is_fibered(G)
-    return 0, [f"fibered: {'true' if value else 'false'}"], {
-        "verb": "fibered",
-        "n": G.n,
-        "fibered": value,
-    }
+    return handler
 
 
 def _h_alexander(G: GridDiagram, opts: dict) -> Entry:
@@ -194,33 +179,38 @@ def _h_move(G: GridDiagram, opts: dict) -> Entry:
     return 0, lines, record
 
 
-_HANDLERS = {
-    "validate": _h_validate,
-    "info": _h_info,
-    "homology": _h_homology,
-    "hfk": _h_hfk,
-    "unknot": _h_unknot,
-    "genus": _h_genus,
-    "fibered": _h_fibered,
-    "alexander": _h_alexander,
-    "verify": _h_verify,
-    "move": _h_move,
+# verb -> (handler, cost class, help line), in the order of the help.
+_VERBS: dict[str, tuple[Handler, str | None, str]] = {
+    "validate": (_h_validate, None, "parse and validate grids, reporting size and components"),
+    "info": (_h_info, None, "size, component count, crossing count"),
+    "homology": (_h_homology, "all", "bigraded homology ranks of the collapsed complex"),
+    "hfk": (_h_hfk, "levels", "homology ranks with the extra V tensor factors divided out"),
+    "unknot": (_knot_verb("unknot", is_unknot), "levels", "is the knot trivial?"),
+    "genus": (_knot_verb("genus", genus), "levels", "Seifert genus of a knot"),
+    "fibered": (_knot_verb("fibered", is_fibered), "levels", "is the knot fibered?"),
+    "alexander": (_h_alexander, "levels", "Alexander polynomial of a knot"),
+    "verify": (
+        _h_verify,
+        "all",
+        "run structural self-checks (d^2 = 0, gradings, index, peeling)",
+    ),
+    "move": (_h_move, None, "apply one grid move and print the resulting grid"),
 }
 
 
 def _process_entry(payload: tuple[str, GridDiagram, dict]) -> Entry:
     verb, G, opts = payload
+    handler, cost, _ = _VERBS[verb]
     try:
-        if verb in EXPENSIVE_VERBS:
-            if G.n > opts["max_n"]:
-                growth = ""
-                if verb in FULL_COMPLEX_VERBS:
-                    growth = f" (the complex has n! = {factorial(G.n)} generators)"
-                raise GridTooLarge(
-                    f"grid size {G.n} exceeds --max-n {opts['max_n']}{growth};"
-                    f" pass --max-n {G.n} to force"
-                )
-        return _HANDLERS[verb](G, opts)
+        if cost is not None and G.n > opts["max_n"]:
+            growth = ""
+            if cost == "all":
+                growth = f" (the complex has n! = {factorial(G.n)} generators)"
+            raise GridTooLarge(
+                f"grid size {G.n} exceeds --max-n {opts['max_n']}{growth};"
+                f" pass --max-n {G.n} to force"
+            )
+        return handler(G, opts)
     except NotDivisible as err:
         return _error_entry(verb, 2, err)
     except GridError as err:
@@ -321,23 +311,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Grid diagram homology: link invariants from combinatorial chain complexes.",
     )
     sub = parser.add_subparsers(dest="verb", required=True, metavar="VERB")
-
-    def add(name: str, help_text: str, with_path: bool = True) -> argparse.ArgumentParser:
+    for name, (_, _, help_text) in _VERBS.items():
         p = sub.add_parser(name, parents=[common], help=help_text)
-        if with_path:
-            p.add_argument("path", help="grid file (batch allowed), or - for stdin")
-        return p
-
-    add("validate", "parse and validate grids, reporting size and components")
-    add("info", "size, component count, crossing count")
-    add("homology", "bigraded homology ranks of the collapsed complex")
-    add("hfk", "homology ranks with the extra V tensor factors divided out")
-    add("unknot", "is the knot trivial?")
-    add("genus", "Seifert genus of a knot")
-    add("fibered", "is the knot fibered?")
-    add("alexander", "Alexander polynomial of a knot")
-    add("verify", "run structural self-checks (d^2 = 0, gradings, index, peeling)")
-    mv = add("move", "apply one grid move and print the resulting grid")
+        p.add_argument("path", help="grid file (batch allowed), or - for stdin")
+    mv = sub.choices["move"]
     mv.add_argument(
         "--kind",
         required=True,
@@ -351,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="I",
         help="shift count (cyclic), pair index (commute), or column (stabilize)",
     )
-    rnd = add("random", "emit a random valid grid", with_path=False)
+    rnd = sub.add_parser("random", parents=[common], help="emit a random valid grid")
     rnd.add_argument(
         "--size",
         type=int,
@@ -409,10 +386,7 @@ def run(argv: list[str] | None = None) -> int:
         sys.stderr.write(f"error: {err}\n")
         return 1
 
-    opts = {"max_n": args.max_n}
-    if args.verb == "move":
-        opts["kind"] = args.kind
-        opts["position"] = args.position
+    opts = vars(args)
     # A block that does not parse is its own entry; the other blocks still run.
     entries: list[Entry | None] = []
     payloads = []

@@ -27,9 +27,9 @@ for the index.  A domain then costs one O(n^2) hash of its table (tuples
 do not cache their hash) plus O(n) work against the generator points,
 instead of O(n^2) arithmetic on the table.  ``from_rectangle`` hands back
 one shared table per rectangle shape from a second memo.  Both keep at
-most 8,192 entries (least recently used out first): room for every
-rectangle shape of every grid up to n = 10, n^2 (n - 1)^2 = 8,100 of
-them.
+most ``chain._MEMO_SIZE`` = 8,192 entries (least recently used out
+first): room for every rectangle shape of every grid up to n = 10,
+n^2 (n - 1)^2 = 8,100 of them.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
-from .chain import Generator, Rectangle
+from .chain import _MEMO_SIZE, Generator, Rectangle
 from .errors import BoundaryMismatch, PointNotCorner
 
 __all__ = [
@@ -52,12 +52,6 @@ __all__ = [
     "total_N",
     "maslov_index",
 ]
-
-
-# Entries each memo keeps: room for every rectangle shape (n, c1, r1, width,
-# height) through n = 10, n^2 (n - 1)^2 = 8,100 of them.
-_TABLE_MEMO_SIZE = 8_192
-_SHAPE_MEMO_SIZE = 8_192
 
 _Table = tuple[tuple[int, ...], ...]
 
@@ -77,7 +71,7 @@ class _TableFacts(NamedTuple):
     cells: int
 
 
-@functools.lru_cache(maxsize=_TABLE_MEMO_SIZE)
+@functools.lru_cache(maxsize=_MEMO_SIZE)
 def _table_facts(m: _Table) -> _TableFacts:
     # The net boundary coefficient on the horizontal segment (c,j)->(c+1,j)
     # is g[c][j] = m[c][j] - m[c][j-1]; at lattice point (c, j) the segments
@@ -151,7 +145,7 @@ class GridDomain:
         return len(self.source)
 
 
-@functools.lru_cache(maxsize=_SHAPE_MEMO_SIZE)
+@functools.lru_cache(maxsize=_MEMO_SIZE)
 def _rectangle_table(n: int, c1: int, r1: int, width: int, height: int) -> _Table:
     inside = tuple(int((r - r1) % n < height) for r in range(n))
     outside = (0,) * n

@@ -7,6 +7,8 @@ import random
 from collections import Counter
 from fractions import Fraction
 
+import pytest
+
 from gridfloer import (
     alexander,
     bigrading,
@@ -150,6 +152,26 @@ def test_rectangles_need_exactly_two_moved_columns():
     assert rectangles(TREFOIL5, x, x) == []
     y = (1, 0, 3, 2, 4)
     assert rectangles(TREFOIL5, x, y) == []
+
+
+@pytest.mark.parametrize(
+    "x", [(0, 1.0, 2, 3, 4), (0, "1", 2, 3, 4), (0, 1, 2, 3), (0, 1, 1, 3, 4)], ids=repr
+)
+def test_a_generator_that_is_not_a_permutation_of_ints_raises_value_error(x):
+    ok = (0, 1, 2, 3, 4)
+    calls = [
+        bigrading,
+        maslov,
+        alexander,
+        tilde_targets,
+        lambda G, x: list(rectangles_from(G, x)),
+        lambda G, x: rectangles(G, x, ok),
+        lambda G, x: rectangles(G, ok, x),
+        lambda G, x: empty_rectangles(G, x, ok),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="is not a permutation of 0..4"):
+            call(TREFOIL5, x)
 
 
 def test_rectangle_pair_is_complementary():

@@ -105,14 +105,14 @@ def test_batch_keeps_input_order_and_isolates_errors():
 def test_unexpected_exception_is_reported_in_stream(monkeypatch, capsys, fmt):
     # A bug in one entry must not kill the batch: the entry reports the
     # exception by type, the other entries print, and the exit code is 2.
-    genus_handler = cli._HANDLERS["genus"]
+    genus_handler, cost, help_text = cli._VERBS["genus"]
 
     def broken_on_hopf(G, opts):
         if G == HOPF4:
             raise ArithmeticError("synthetic negative rank")
         return genus_handler(G, opts)
 
-    monkeypatch.setitem(cli._HANDLERS, "genus", broken_on_hopf)
+    monkeypatch.setitem(cli._VERBS, "genus", (broken_on_hopf, cost, help_text))
     batch = serialize_grid(TREFOIL5) + "\n" + serialize_grid(HOPF4)
     monkeypatch.setattr("sys.stdin", io.StringIO(batch))
     code = cli.run(["genus", "--format", fmt, "-"])
@@ -176,16 +176,23 @@ def test_max_n_refuses_n17_in_stream():
     )
 
 
+def _stub_handlers(monkeypatch, verbs, handler) -> None:
+    for verb in verbs:
+        _, cost, help_text = cli._VERBS[verb]
+        monkeypatch.setitem(cli._VERBS, verb, (handler, cost, help_text))
+
+
 def test_max_n_is_the_only_size_guard_and_refuses_before_any_work(monkeypatch):
     def must_not_run_past_max_n(G, opts):
         if G.n > opts["max_n"]:
             raise AssertionError("work started on a grid past --max-n")
         return 0, ["reached"], {}
 
-    for verb in cli.EXPENSIVE_VERBS:
-        monkeypatch.setitem(cli._HANDLERS, verb, must_not_run_past_max_n)
+    gated = ("homology", "hfk", "unknot", "genus", "fibered", "alexander", "verify")
+    ungated = ("validate", "info", "move")
+    _stub_handlers(monkeypatch, gated, must_not_run_past_max_n)
     G17 = random_grid(17, random.Random(17))
-    for verb in sorted(cli.EXPENSIVE_VERBS):
+    for verb in gated:
         code, lines, record = cli._process_entry((verb, G17, {"max_n": 10}))
         assert code == 1
         assert lines[0].startswith("error: GridTooLarge: grid size 17 exceeds --max-n 10")
@@ -193,6 +200,10 @@ def test_max_n_is_the_only_size_guard_and_refuses_before_any_work(monkeypatch):
         assert record["error_type"] == "GridTooLarge"
         for max_n in (17, 20):
             assert cli._process_entry((verb, G17, {"max_n": max_n})) == (0, ["reached"], {})
+    _stub_handlers(monkeypatch, ungated, lambda G, opts: (0, ["reached"], {}))
+    for verb in ungated:
+        assert cli._process_entry((verb, G17, {"max_n": 10})) == (0, ["reached"], {})
+    assert set(cli._VERBS) == {*gated, *ungated}
 
 
 def test_knot_verbs_run_past_n16_with_max_n():
@@ -411,6 +422,81 @@ def test_help_exits_zero():
     assert "VERB" in done.stdout
 
 
+def _help_rows(text: str, indent: int) -> list[tuple[str, str]]:
+    """(invocation, help) per row of an argparse listing indented by ``indent``."""
+    rows: list[tuple[str, str]] = []
+    open_row = False
+    for line in text.splitlines():
+        depth = len(line) - len(line.lstrip(" "))
+        if depth == indent and line.strip():
+            name, _, help_text = line.strip().partition("  ")
+            rows.append((name, help_text.strip()))
+            open_row = True
+        elif depth > indent and open_row:
+            name, help_text = rows[-1]
+            rows[-1] = (name, " ".join(filter(None, [help_text, line.strip()])))
+        else:
+            open_row = False
+    return rows
+
+
+_COMMON_OPTION_ROWS = [
+    ("-h, --help", "show this help message and exit"),
+    ("--format {text,records}", "text blocks (default) or one JSON line per grid"),
+    ("--jobs K", "worker processes for batch files; output order and bytes do not depend on K"),
+    (
+        "--max-n N",
+        "refuse the homology verbs above this grid size (default 10); their cost grows"
+        " exponentially with n, and homology and verify enumerate all n! generators",
+    ),
+]
+
+
+def test_help_lists_every_verb_and_option_in_order(monkeypatch, capsys):
+    # A wide terminal, so that no help line wraps.
+    monkeypatch.setenv("COLUMNS", "200")
+
+    def help_of(*verb: str) -> str:
+        assert cli.run([*verb, "--help"]) == 0
+        return capsys.readouterr().out
+
+    assert _help_rows(help_of(), 4) == [
+        ("validate", "parse and validate grids, reporting size and components"),
+        ("info", "size, component count, crossing count"),
+        ("homology", "bigraded homology ranks of the collapsed complex"),
+        ("hfk", "homology ranks with the extra V tensor factors divided out"),
+        ("unknot", "is the knot trivial?"),
+        ("genus", "Seifert genus of a knot"),
+        ("fibered", "is the knot fibered?"),
+        ("alexander", "Alexander polynomial of a knot"),
+        ("verify", "run structural self-checks (d^2 = 0, gradings, index, peeling)"),
+        ("move", "apply one grid move and print the resulting grid"),
+        ("random", "emit a random valid grid"),
+    ]
+    kinds = "{cyclic_row,cyclic_column,commute_columns,commute_rows,stabilize,destabilize}"
+    move = help_of("move")
+    assert move.startswith(
+        "usage: gridfloer move [-h] [--format {text,records}] [--jobs K] [--max-n N]"
+        f" --kind {kinds} [--position I] path\n"
+    )
+    assert _help_rows(move, 2) == [
+        ("path", "grid file (batch allowed), or - for stdin"),
+        *_COMMON_OPTION_ROWS,
+        (f"--kind {kinds}", "which move to apply"),
+        ("--position I", "shift count (cyclic), pair index (commute), or column (stabilize)"),
+    ]
+    rnd = help_of("random")
+    assert rnd.startswith(
+        "usage: gridfloer random [-h] [--format {text,records}] [--jobs K] [--max-n N]"
+        " --size N [--seed S]\n"
+    )
+    assert _help_rows(rnd, 2) == [
+        *_COMMON_OPTION_ROWS,
+        ("--size N", "grid size, 2 to 1000"),
+        ("--seed S", ""),
+    ]
+
+
 class _FailingStdout(io.StringIO):
     """A stdout whose writes raise ``err``, on a file descriptor of its own."""
 
@@ -511,7 +597,7 @@ def test_not_divisible_maps_to_exit_two(monkeypatch):
     def boom(G, opts):
         raise NotDivisible("synthetic alarm")
 
-    monkeypatch.setitem(cli._HANDLERS, "hfk", boom)
+    _stub_handlers(monkeypatch, ("hfk",), boom)
     code, lines, record = cli._process_entry(("hfk", HOPF4, {"max_n": 10}))
     assert code == 2
     assert lines == ["error: NotDivisible: synthetic alarm"]

@@ -11,6 +11,7 @@ import pytest
 from gridfloer import (
     GridDomain,
     add_domains,
+    chain,
     domains,
     euler_measure,
     from_rectangle,
@@ -403,8 +404,8 @@ def test_index_functions_match_the_definition():
 def test_memos_stay_within_their_bounds():
     # At n = 11 the affine permutations c -> a*c + b (mod 11) have every
     # rectangle shape (c1, r1, width, height) exactly once among their
-    # rectangles: 12,100 shapes, each with its own table, more than either
-    # memo keeps.
+    # rectangles: 12,100 shapes, each with its own table and marking counts,
+    # more than any of the three per-shape memos keeps.
     n = 11
     G = random_grid(n, random.Random(44))
     shapes = set()
@@ -416,13 +417,11 @@ def test_memos_stay_within_their_bounds():
                     shapes.add((r.c1, r.r1, r.width, r.height))
                     assert (maslov_index(from_rectangle(r)) == 1) == r.empty
         assert len(shapes) == n * n * (n - 1) ** 2
-        for memo, bound in (
-            (domains._table_facts, domains._TABLE_MEMO_SIZE),
-            (domains._rectangle_table, domains._SHAPE_MEMO_SIZE),
-        ):
+        for memo in (domains._table_facts, domains._rectangle_table, chain._marking_counts):
             info = memo.cache_info()
-            assert info.maxsize == bound < len(shapes)
-            assert info.currsize <= bound
+            assert info.maxsize == chain._MEMO_SIZE < len(shapes)
+            assert info.currsize <= chain._MEMO_SIZE
     finally:
         domains._table_facts.cache_clear()
         domains._rectangle_table.cache_clear()
+        chain._marking_counts.cache_clear()
