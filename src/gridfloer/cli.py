@@ -2,12 +2,13 @@
 
 One verb per invocation; every file-reading verb accepts a batch of grids
 (blank-line separated) and emits one output block (``--format text``) or one
-JSON line (``--format records``) per grid, in input order.  Entry-level
-failures are reported in-stream so batch output stays aligned with batch
-input; the process exit code is the worst entry code: 0 fine, 1 bad input,
-2 internal alarm (a structural self-check or exact division failed, or the
-computation raised any other exception, meaning a bug here rather than in
-the input).
+JSON line (``--format records``) per grid, in input order, each written once
+it and every grid before it are done.  Entry-level failures, a block that
+does not parse among them, are reported in-stream so batch output stays
+aligned with batch input; the process exit code is the worst entry code: 0
+fine, 1 bad input, 2 internal alarm (a structural self-check or exact
+division failed, or the computation raised any other exception, meaning a
+bug here rather than in the input).
 
 ``_VERBS`` is the one table of the verbs that read grids: each verb's
 handler, its cost class and its help line.  The cost class decides whether
@@ -24,7 +25,7 @@ import json
 import os
 import random
 import sys
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from math import factorial
 from multiprocessing import Pool
 
@@ -198,10 +199,12 @@ _VERBS: dict[str, tuple[Handler, str | None, str]] = {
 }
 
 
-def _process_entry(payload: tuple[str, GridDiagram, dict]) -> Entry:
-    verb, G, opts = payload
+def _process_entry(payload: tuple[str, int, str, dict]) -> Entry:
+    """Parse one block of the batch, guard it and run the verb on it."""
+    verb, first_line, block, opts = payload
     handler, cost, _ = _VERBS[verb]
     try:
+        [G] = parse_grids(block, first_line)
         if cost is not None and G.n > opts["max_n"]:
             growth = ""
             if cost == "all":
@@ -234,6 +237,8 @@ def _error_entry(verb: str, code: int, err: Exception) -> Entry:
 def _read_text(path: str) -> str:
     """The input as text, without the byte-order mark some editors put first."""
     if path == "-":
+        if sys.stdin is None:  # Python's stdin when file descriptor 0 is closed
+            raise OSError("cannot read stdin: it is closed")
         text = sys.stdin.read()
     else:
         with open(path, "r", encoding="utf-8") as fh:
@@ -241,19 +246,20 @@ def _read_text(path: str) -> str:
     return text.removeprefix("\ufeff")
 
 
-def _emit(entries: list[Entry], fmt: str) -> int:
-    """Write the entries to stdout and return the worst entry code, or 1 if stdout fails."""
-    try:
-        if fmt == "records":
-            for _, _, record in entries:
+def _emit(entries: Iterable[Entry], fmt: str) -> int:
+    """Write each entry to stdout as it arrives; return the worst code, or 1 if stdout fails."""
+    worst = 0
+    for i, (code, lines, record) in enumerate(entries):
+        try:
+            if fmt == "records":
                 sys.stdout.write(json.dumps(record, sort_keys=True) + "\n")
-        else:
-            blocks = ["\n".join(lines) for _, lines, _ in entries]
-            sys.stdout.write("\n\n".join(blocks) + "\n")
-        sys.stdout.flush()
-    except OSError as err:
-        return _stdout_failed(err)
-    return max(code for code, _, _ in entries)
+            else:
+                sys.stdout.write(("\n" if i else "") + "\n".join(lines) + "\n")
+            sys.stdout.flush()
+        except OSError as err:
+            return _stdout_failed(err)
+        worst = max(worst, code)
+    return worst
 
 
 def _stdout_failed(err: OSError) -> int:
@@ -386,25 +392,11 @@ def run(argv: list[str] | None = None) -> int:
         sys.stderr.write(f"error: {err}\n")
         return 1
 
-    opts = vars(args)
-    # A block that does not parse is its own entry; the other blocks still run.
-    entries: list[Entry | None] = []
-    payloads = []
-    for first_line, block in blocks:
-        try:
-            [G] = parse_grids(block, first_line)
-        except GridError as err:
-            entries.append(_error_entry(args.verb, 1, err))
-            continue
-        entries.append(None)
-        payloads.append((args.verb, G, opts))
-
+    payloads = [(args.verb, first_line, block, vars(args)) for first_line, block in blocks]
     if args.jobs > 1 and len(payloads) > 1:
         with Pool(processes=min(args.jobs, len(payloads), os.cpu_count() or 1)) as pool:
-            done = iter(pool.map(_process_entry, payloads))
-    else:
-        done = map(_process_entry, payloads)
-    return _emit([entry or next(done) for entry in entries], args.format)
+            return _emit(pool.imap(_process_entry, payloads), args.format)
+    return _emit(map(_process_entry, payloads), args.format)
 
 
 def main() -> None:

@@ -22,7 +22,7 @@ class GridError(Exception):
 
 
 class TooSmall(GridError):
-    """Grid size below the minimum of 2."""
+    """Grid size that is not an integer of at least 2."""
 
 
 class NotAPermutation(GridError):
@@ -42,7 +42,11 @@ class GridSyntaxError(GridError):
 
 
 class IllegalMove(GridError):
-    """A grid move whose preconditions fail on this diagram."""
+    """A grid move that cannot be applied.
+
+    Its kind is unknown, its position is not an integer, or its
+    preconditions fail on this diagram.
+    """
 
 
 class PointNotCorner(GridError):

@@ -32,6 +32,8 @@ __all__ = [
 def _check_permutation(name: str, rows: Sequence[int], n: int) -> None:
     seen = [False] * n
     for c, r in enumerate(rows):
+        if type(r) is not int:  # a bool or a float is no row, though it compares like one
+            raise NotAPermutation(f"{name}[{c}] = {r!r} is not an integer")
         if not 0 <= r < n:
             raise NotAPermutation(f"{name}[{c}] = {r} is outside 0..{n - 1}")
         if seen[r]:
@@ -57,6 +59,8 @@ class GridDiagram:
     def __post_init__(self):
         object.__setattr__(self, "o_rows", tuple(self.o_rows))
         object.__setattr__(self, "x_rows", tuple(self.x_rows))
+        if type(self.n) is not int:
+            raise TooSmall(f"grid size must be an integer, got {self.n!r}")
         if self.n < 2:
             raise TooSmall(f"grid size must be at least 2, got {self.n}")
         if len(self.o_rows) != self.n:

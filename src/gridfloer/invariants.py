@@ -23,7 +23,7 @@ from .errors import NotAKnot
 from .grid import GridDiagram, link_summary
 from .homology import BigradedRanks, hfk_hat, top_alexander_level
 
-# Unused here; kept while the benchmark's tracer wraps them (ROADMAP item 4).
+# Unused here; kept while the benchmark's tracer wraps them (ROADMAP item 5).
 from .homology import homology_ranks, peel_v  # noqa: F401
 from .laurent import symmetric_normalized
 

@@ -155,22 +155,25 @@ def _destabilize(G: GridDiagram, c: int) -> GridDiagram:
     return GridDiagram(G.n - 1, tuple(o), tuple(x))
 
 
+_APPLY = {
+    MoveKind.CYCLIC_ROW: _cyclic_row,
+    MoveKind.CYCLIC_COLUMN: _cyclic_column,
+    MoveKind.COMMUTE_COLUMNS: _commute_columns,
+    MoveKind.COMMUTE_ROWS: _commute_rows,
+    MoveKind.STABILIZE: _stabilize,
+    MoveKind.DESTABILIZE: _destabilize,
+}
+
+
 def apply_move(G: GridDiagram, move: GridMove) -> GridDiagram:
     """Apply one move, returning a new grid; raises IllegalMove when not permitted."""
-    kind = MoveKind(move.kind)
-    if kind is MoveKind.CYCLIC_ROW:
-        return _cyclic_row(G, move.position)
-    if kind is MoveKind.CYCLIC_COLUMN:
-        return _cyclic_column(G, move.position)
-    if kind is MoveKind.COMMUTE_COLUMNS:
-        return _commute_columns(G, move.position)
-    if kind is MoveKind.COMMUTE_ROWS:
-        return _commute_rows(G, move.position)
-    if kind is MoveKind.STABILIZE:
-        return _stabilize(G, move.position)
-    if kind is MoveKind.DESTABILIZE:
-        return _destabilize(G, move.position)
-    raise IllegalMove(f"unknown move kind {move.kind!r}")
+    try:
+        apply = _APPLY[MoveKind(move.kind)]
+    except ValueError:
+        raise IllegalMove(f"unknown move kind {move.kind!r}") from None
+    if type(move.position) is not int:
+        raise IllegalMove(f"position {move.position!r} is not an integer")
+    return apply(G, move.position)
 
 
 def legal_moves(G: GridDiagram) -> tuple[GridMove, ...]:

@@ -9,7 +9,10 @@ Floer homology of torus knots by a closed form that needs no complex at
 all, the winding-number determinant by expansion over permutations,
 domain boundaries by the original per-point loop, and the Lipshitz index
 by its definition over the four cells at each generator point.  Agreement between a
-fast path and its oracle is evidence for both.
+fast path and its oracle is evidence for both.  Connected sums and mirrors
+give exact knot Floer tables above n = 7: the hat homology of K1 # K2 is the
+product of the summands' tables, and a mirror's is the knot's under
+(m, s) -> (-m, -s) (Ozsvath-Szabo, math/0209056).
 """
 
 from __future__ import annotations
@@ -73,6 +76,25 @@ def stabilized(G: GridDiagram, sizes, rng: random.Random) -> dict[int, GridDiagr
         if G.n in sizes:
             out[G.n] = G
     return out
+
+
+def connected_sum(A: GridDiagram, B: GridDiagram) -> GridDiagram:
+    """K_A # K_B on an (a + b)-grid.
+
+    B's rows and columns go after A's, then the X rows of columns a - 1 and
+    a are swapped.  The two new vertical segments cross no horizontal one,
+    so this is a band sum along a trivial band.
+    """
+    a = A.n
+    o_rows = A.o_rows + tuple(r + a for r in B.o_rows)
+    x_rows = list(A.x_rows + tuple(r + a for r in B.x_rows))
+    x_rows[a - 1], x_rows[a] = x_rows[a], x_rows[a - 1]
+    return new_grid(a + B.n, o_rows, x_rows)
+
+
+def mirror(G: GridDiagram) -> GridDiagram:
+    """The mirror image: the column order reversed."""
+    return new_grid(G.n, G.o_rows[::-1], G.x_rows[::-1])
 
 
 def all_grids(n: int):
@@ -287,6 +309,16 @@ def torus_grid(p: int, q: int) -> GridDiagram:
     """The (p + q)-grid of the torus knot T(p, q): O_i = i + p mod n, X = identity."""
     n = p + q
     return new_grid(n, tuple((i + p) % n for i in range(n)), tuple(range(n)))
+
+
+# The knot types of the benchmark's n = 7 workloads.
+N7_KNOTS = (
+    stabilized(UNKNOT2, (7,), random.Random(0xC9))[7],
+    stabilized(FIG8_6, (7,), random.Random(0xC9))[7],
+    TWIST7,
+    TORUS25_7,
+    torus_grid(3, 4),
+)
 
 
 def _poly_mul(a: list[int], b: list[int]) -> list[int]:

@@ -91,6 +91,13 @@ def test_stdin_dash_reads_a_grid():
     assert done.stdout == "unknot: true\n"
 
 
+def test_closed_stdin_is_one_error_line(monkeypatch, capsys):
+    # With file descriptor 0 closed, Python sets sys.stdin to None.
+    monkeypatch.setattr("sys.stdin", None)
+    assert cli.run(["validate", "-"]) == 1
+    assert capsys.readouterr() == ("", "error: cannot read stdin: it is closed\n")
+
+
 def test_batch_keeps_input_order_and_isolates_errors():
     done = run_cli("genus", str(GRIDS_DIR / "corpus.grids"))
     assert done.returncode == 1
@@ -131,6 +138,31 @@ def test_unexpected_exception_is_reported_in_stream(monkeypatch, capsys, fmt):
         }
 
 
+@pytest.mark.parametrize("fmt", ["text", "records"])
+def test_each_entry_is_written_before_the_next_grid_is_computed(monkeypatch, fmt):
+    # A run killed on a late grid must keep the output of the grids before it.
+    validate, cost, help_text = cli._VERBS["validate"]
+    out = io.StringIO()
+    written_before = []
+
+    def recording(G, opts):
+        written_before.append(out.getvalue())
+        return validate(G, opts)
+
+    monkeypatch.setitem(cli._VERBS, "validate", (recording, cost, help_text))
+    batch = "\n".join(serialize_grid(G) for G in (UNKNOT2, TREFOIL5, HOPF4))
+    monkeypatch.setattr("sys.stdin", io.StringIO(batch))
+    with contextlib.redirect_stdout(out):
+        assert cli.run(["validate", "--format", fmt, "-"]) == 0
+    if fmt == "text":
+        first, second = "ok: 2x2 grid, 1 component\n", "\nok: 5x5 grid, 1 component\n"
+    else:
+        first = '{"components": 1, "n": 2, "ok": true, "verb": "validate"}\n'
+        second = '{"components": 1, "n": 5, "ok": true, "verb": "validate"}\n'
+    assert written_before == ["", first, first + second]
+    assert out.getvalue().startswith(first + second)
+
+
 def test_records_mode_emits_one_json_line_per_grid():
     done = run_cli("validate", "--format", "records", str(GRIDS_DIR / "corpus.grids"))
     assert done.returncode == 0
@@ -154,7 +186,7 @@ def test_max_n_guard_on_knot_verbs_gives_size_and_force():
     # does not quote n!.
     G = parse_grid((GRIDS_DIR / "torus25_7.grid").read_text(encoding="utf-8"))
     for verb in ("hfk", "alexander", "unknot", "genus", "fibered"):
-        code, lines, _ = cli._process_entry((verb, G, {"max_n": 6}))
+        code, lines, _ = cli._process_entry((verb, 1, serialize_grid(G), {"max_n": 6}))
         assert code == 1
         assert lines == [
             "error: GridTooLarge: grid size 7 exceeds --max-n 6; pass --max-n 7 to force"
@@ -191,18 +223,18 @@ def test_max_n_is_the_only_size_guard_and_refuses_before_any_work(monkeypatch):
     gated = ("homology", "hfk", "unknot", "genus", "fibered", "alexander", "verify")
     ungated = ("validate", "info", "move")
     _stub_handlers(monkeypatch, gated, must_not_run_past_max_n)
-    G17 = random_grid(17, random.Random(17))
+    G17 = serialize_grid(random_grid(17, random.Random(17)))
     for verb in gated:
-        code, lines, record = cli._process_entry((verb, G17, {"max_n": 10}))
+        code, lines, record = cli._process_entry((verb, 1, G17, {"max_n": 10}))
         assert code == 1
         assert lines[0].startswith("error: GridTooLarge: grid size 17 exceeds --max-n 10")
         assert lines[0].endswith("; pass --max-n 17 to force")
         assert record["error_type"] == "GridTooLarge"
         for max_n in (17, 20):
-            assert cli._process_entry((verb, G17, {"max_n": max_n})) == (0, ["reached"], {})
+            assert cli._process_entry((verb, 1, G17, {"max_n": max_n})) == (0, ["reached"], {})
     _stub_handlers(monkeypatch, ungated, lambda G, opts: (0, ["reached"], {}))
     for verb in ungated:
-        assert cli._process_entry((verb, G17, {"max_n": 10})) == (0, ["reached"], {})
+        assert cli._process_entry((verb, 1, G17, {"max_n": 10})) == (0, ["reached"], {})
     assert set(cli._VERBS) == {*gated, *ungated}
 
 
@@ -268,8 +300,8 @@ def test_jobs_pool_is_capped_at_cpu_count(monkeypatch, capsys, jobs, cpus, want)
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items):
-            return [fn(item) for item in items]
+        def imap(self, fn, items):
+            return map(fn, items)
 
     monkeypatch.setattr(cli, "Pool", SequentialPool)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
@@ -598,7 +630,7 @@ def test_not_divisible_maps_to_exit_two(monkeypatch):
         raise NotDivisible("synthetic alarm")
 
     _stub_handlers(monkeypatch, ("hfk",), boom)
-    code, lines, record = cli._process_entry(("hfk", HOPF4, {"max_n": 10}))
+    code, lines, record = cli._process_entry(("hfk", 1, serialize_grid(HOPF4), {"max_n": 10}))
     assert code == 2
     assert lines == ["error: NotDivisible: synthetic alarm"]
     assert record["error_type"] == "NotDivisible"
@@ -607,7 +639,7 @@ def test_not_divisible_maps_to_exit_two(monkeypatch):
 def test_process_entry_happy_path():
     from gridfloer.cli import _process_entry
 
-    code, lines, record = _process_entry(("hfk", HOPF4, {"max_n": 10}))
+    code, lines, record = _process_entry(("hfk", 1, serialize_grid(HOPF4), {"max_n": 10}))
     assert code == 0
     assert record["verb"] == "hfk"
     assert lines[0] == "n: 4"

@@ -57,6 +57,20 @@ def test_rejects_non_permutation_rows():
         new_grid(3, (0, 1, 2), (1, 2, 3))
 
 
+def test_rejects_sizes_and_rows_that_are_not_ints():
+    # A float, str or bool compares like a row but is none; a bool row would
+    # serialize as "False" and fail to parse back.
+    with pytest.raises(TooSmall):
+        GridDiagram(2.0, (0, 1), (1, 0))
+    with pytest.raises(TooSmall):
+        GridDiagram(True, (0,), (0,))
+    for rows in [(0, 1.0), (0, "1"), (False, True)]:
+        with pytest.raises(NotAPermutation):
+            GridDiagram(2, rows, (1, 0))
+        with pytest.raises(NotAPermutation):
+            GridDiagram(2, (1, 0), rows[::-1])
+
+
 def test_rejects_shared_cell():
     # Column 1 would put O and X both at row 2.
     with pytest.raises(SharedCell):

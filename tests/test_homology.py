@@ -40,17 +40,14 @@ from .helpers import (
     KNOWN_GRIDS,
     LINK3_7,
     LINK4_8,
-    TORUS25_7,
+    N7_KNOTS,
     TREFOIL5,
-    TWIST7,
     UNKNOT2,
     UNKNOT12,
     all_grids,
     d_squared_suite,
     dense_rank,
     oracle_homology,
-    stabilized,
-    torus_grid,
 )
 
 GRIDS_DIR = Path(__file__).resolve().parent.parent / "grids"
@@ -191,16 +188,6 @@ def _generators_at_or_above(G, floor: int) -> set:
         for gens in levels.values()
         for x in gens
     }
-
-
-# The knot types of the benchmark's n = 7 workloads.
-N7_KNOTS = (
-    stabilized(UNKNOT2, (7,), random.Random(0xC9))[7],
-    stabilized(FIG8_6, (7,), random.Random(0xC9))[7],
-    TWIST7,
-    TORUS25_7,
-    torus_grid(3, 4),
-)
 
 
 def test_each_walk_builds_one_sweep_table_and_scans_each_generator_once(monkeypatch):

@@ -30,12 +30,15 @@ from .helpers import (
     FIG8_6,
     HOPF4,
     KNOWN_KNOTS,
+    N7_KNOTS,
     TORUS25_7,
     TREFOIL5,
     TWIST7,
     UNKNOT2,
     UNKNOT4,
+    connected_sum,
     d_squared_suite,
+    mirror,
     oracle_torus_hfk,
     random_knot_grid,
     stabilized,
@@ -212,3 +215,45 @@ def test_report_record_is_json_ready():
     assert rendered["alexander"] == [[-1, 1], [0, -1], [1, 1]]
     assert ["0", "-1"] not in rendered["poincare"]
     assert all(len(term) == 3 for term in rendered["poincare"])
+
+
+# Connected sums whose hat tables follow from the summands' (math/0209056);
+# the two with T(3,4) are not thin, at n = 12.
+T34 = torus_grid(3, 4)
+SUMS = {
+    "trefoil # trefoil": (TREFOIL5, TREFOIL5),
+    "trefoil # mirror trefoil": (TREFOIL5, mirror(TREFOIL5)),
+    "trefoil # unknot": (TREFOIL5, UNKNOT2),
+    "T(3,4) # trefoil": (T34, TREFOIL5),
+    "T(3,4) # mirror trefoil": (T34, mirror(TREFOIL5)),
+}
+
+
+def _poly_product(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    out: dict[int, int] = {}
+    for e, c in a.items():
+        for f, d in b.items():
+            out[e + f] = out.get(e + f, 0) + c * d
+    return {e: c for e, c in out.items() if c}
+
+
+@pytest.mark.parametrize("A,B", SUMS.values(), ids=SUMS.keys())
+def test_hfk_hat_of_a_connected_sum_is_the_product_of_the_summands(A, B):
+    S = connected_sum(A, B)
+    assert S.n == A.n + B.n
+    assert link_summary(S).component_count == 1
+    want = alexander_via_determinant(A), alexander_via_determinant(B)
+    assert alexander_via_determinant(S) == _poly_product(*want)
+    ranks = hfk_hat(S)
+    assert ranks == hfk_hat(A) * hfk_hat(B)
+    if A == T34:
+        assert len({m - s for m, s, _ in ranks.entries}) > 1, "thin"
+
+
+def test_hfk_hat_of_a_mirror_negates_both_gradings():
+    _, big = d_squared_suite()
+    suite_n7 = [G for G in big if G.n >= 7 and link_summary(G).component_count == 1]
+    assert len(suite_n7) >= 10
+    for G in N7_KNOTS + (torus_grid(3, 5),) + tuple(suite_n7):
+        want = {(-m, -s): r for m, s, r in hfk_hat(G).entries}
+        assert hfk_hat(mirror(G)).as_dict() == want, G

@@ -30,6 +30,15 @@ def test_move_kind_from_string():
     assert GridMove(MoveKind.CYCLIC_ROW).position == 1
 
 
+def test_unknown_kinds_and_positions_that_are_not_ints_are_illegal_moves():
+    with pytest.raises(IllegalMove, match="unknown move kind 'bogus'"):
+        apply_move(TREFOIL5, GridMove("bogus"))
+    for kind in MoveKind:
+        for position in (1.0, 0.5, "1", None, True):
+            with pytest.raises(IllegalMove, match="is not an integer"):
+                apply_move(TREFOIL5, GridMove(kind, position))
+
+
 def test_cyclic_row_shift_wraps_rows():
     G = apply_move(TREFOIL5, GridMove(MoveKind.CYCLIC_ROW, 2))
     assert G.o_rows == tuple((r + 2) % 5 for r in TREFOIL5.o_rows)
