@@ -26,7 +26,12 @@ grading a single generator and the enumeration both read its tables.
 weight is <= 0 and the constant is the exact top.  The enumeration carries
 both gradings along a depth-first search over the columns on those
 weights, so grading costs O(1) amortized per generator, and it cuts off
-every partial generator whose 2A weights already sum below a floor.
+every partial generator whose 2A weights already sum below a floor.  It
+also keeps, per walk, a dict ``dead`` keyed by the bitmask of the rows a
+prefix uses: the largest partial 2A weight at which the search below such
+a prefix reached no generator.  A later prefix with the same rows and no
+more weight is skipped.  The skip is exact, because the columns still to
+fill and the rows free for them depend on that row set alone.
 
 The differentials count empty rectangles: embedded rectangles on the torus
 whose lower-left and upper-right corners are points of the source generator,
@@ -529,6 +534,17 @@ def iter_alexander_levels(
     and wa[c][r] and, to M, one for each earlier column with a lower row.
     The reduced 2A weights are <= 0, so a partial generator whose weights
     sum below min_two_a - const_a cannot recover and is cut off.
+
+    The cut alone keeps prefixes whose every completion falls below the
+    floor.  ``dead`` maps the bitmask ``used`` of a prefix's rows to the
+    largest partial 2A weight at which the search below such a prefix
+    reached no generator, and the search skips a later prefix with the same
+    rows and no more weight.  That is exact: the columns left to fill
+    (``used.bit_count()`` onward) and the rows free for them depend on
+    ``used`` alone, so a prefix with those rows and no more weight has no
+    completion either, and skipping it changes neither the generators nor
+    their order.  Without a floor every prefix completes and ``dead`` stays
+    empty.
     """
     n = G.n
     wm, wa, const_m, top = _reduced(_grading_tables(G)) if tables is None else tables
@@ -539,28 +555,47 @@ def iter_alexander_levels(
     full = (1 << n) - 1
     wm_last, wa_last = wm[n - 1], wa[n - 1]
     perm = [0] * n  # the rows placed so far, filled in place by the search
+    dead: dict[int, int] = {}
 
-    def place(c: int, used: int, m: int, two_a: int) -> None:
+    def place(c: int, used: int, m: int, two_a: int) -> bool:
+        """Place columns c.. below the prefix; True if a generator was reached."""
         row_m, row_a = wm[c], wa[c]
+        found = False
         for r in rows:
             bit = 1 << r
-            if used & bit or two_a + row_a[r] < floor:
+            if used & bit:
+                continue
+            a_r = two_a + row_a[r]
+            if a_r < floor:
                 continue
             perm[c] = r
             m_r = m + row_m[r] + (used & (bit - 1)).bit_count()
+            used_r = used | bit
             if c + 2 < n:
-                place(c + 1, used | bit, m_r, two_a + row_a[r])
+                if used_r in dead and a_r <= dead[used_r]:
+                    continue
+                if place(c + 1, used_r, m_r, a_r):
+                    found = True
+                else:
+                    dead[used_r] = a_r
                 continue
             # The last column takes the one row left.
-            used_r = used | bit
             last = (full ^ used_r).bit_length() - 1
-            a_last = two_a + row_a[r] + wa_last[last]
+            a_last = a_r + wa_last[last]
             if a_last >= floor:
+                found = True
                 perm[n - 1] = last
                 level = buckets.setdefault(a_last + top, {})
                 m_last = m_r + wm_last[last] + (used_r & ((1 << last) - 1)).bit_count()
                 level.setdefault(m_last, []).append(tuple(perm))
+        return found
 
-    place(0, 0, const_m, 0)
+    try:
+        place(0, 0, const_m, 0)
+    finally:
+        # place refers to itself through its closure; without this cycle
+        # broken, buckets would outlive the walk until a full collection,
+        # also when the search runs out of memory.
+        del place
     for two_a in sorted(buckets):
         yield two_a, buckets[two_a]

@@ -6,9 +6,9 @@ JSON line (``--format records``) per grid, in input order, each written once
 it and every grid before it are done.  Entry-level failures, a block that
 does not parse among them, are reported in-stream so batch output stays
 aligned with batch input; the process exit code is the worst entry code: 0
-fine, 1 bad input, 2 internal alarm (a structural self-check or exact
-division failed, or the computation raised any other exception, meaning a
-bug here rather than in the input).
+fine, 1 bad input or a grid that ran out of memory, 2 internal alarm (a
+structural self-check or exact division failed, or the computation raised
+any other exception, meaning a bug here rather than in the input).
 
 ``_VERBS`` is the one table of the verbs that read grids: each verb's
 handler, its cost class and its help line.  The cost class decides whether
@@ -203,6 +203,7 @@ def _process_entry(payload: tuple[str, int, str, dict]) -> Entry:
     """Parse one block of the batch, guard it and run the verb on it."""
     verb, first_line, block, opts = payload
     handler, cost, _ = _VERBS[verb]
+    G = None
     try:
         [G] = parse_grids(block, first_line)
         if cost is not None and G.n > opts["max_n"]:
@@ -217,6 +218,12 @@ def _process_entry(payload: tuple[str, int, str, dict]) -> Entry:
     except NotDivisible as err:
         return _error_entry(verb, 2, err)
     except GridError as err:
+        return _error_entry(verb, 1, err)
+    except MemoryError:
+        # The grid is too large for this machine, not a bug: refuse it
+        # in-stream, like --max-n, and go on with the batch.
+        size = "this grid" if G is None else f"grid size {G.n}"
+        err = MemoryError(f"out of memory on {size} under --max-n {opts['max_n']}")
         return _error_entry(verb, 1, err)
     except Exception as err:
         # A bug here, not bad input: keep the traceback on stderr, report

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import itertools
 import random
 from collections import Counter
@@ -47,6 +48,7 @@ from .helpers import (
     oracle_empty_rectangles,
     random_knot_grid,
     rect_key,
+    torus_grid,
 )
 
 
@@ -121,7 +123,10 @@ def test_levels_match_permutation_oracle():
 
 def test_min_two_a_keeps_exactly_the_levels_at_or_above_it():
     rng = random.Random(23)
-    grids = [TREFOIL5, FIG8_6, TWIST7] + [random_grid(n, rng) for n in (2, 3, 4, 5, 6)]
+    # The search below T(3,4) and LINK3_7 meets prefixes that cannot reach
+    # the floor, some with rows it has already found dead.
+    grids = [TREFOIL5, FIG8_6, TWIST7, torus_grid(3, 4), LINK3_7]
+    grids += [random_grid(n, rng) for n in (2, 3, 4, 5, 6)]
     for G in grids:
         full = _levels(G)
         assert _reduced(_grading_tables(G))[3] == full[-1][0], G
@@ -129,6 +134,20 @@ def test_min_two_a_keeps_exactly_the_levels_at_or_above_it():
             assert _levels(G, floor) == [lv for lv in full if lv[0] >= floor], (G, floor)
         assert _levels(G, full[-1][0] + 1) == []
         assert _levels(G, full[0][0] - 1) == full
+
+
+def test_a_finished_walk_frees_its_generators_without_a_collection():
+    # The search leaves no reference cycle, so the generators a walk
+    # bucketed are freed once its levels are dropped, not at the next full
+    # collection, and the next grid of a batch gets that memory back.
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in iter_alexander_levels(TWIST7, 0):
+            pass
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_reduced_tables_are_exact_against_brute_force():

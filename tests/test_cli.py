@@ -139,6 +139,44 @@ def test_unexpected_exception_is_reported_in_stream(monkeypatch, capsys, fmt):
 
 
 @pytest.mark.parametrize("fmt", ["text", "records"])
+def test_memory_error_is_refused_in_stream_with_exit_one(monkeypatch, capsys, fmt):
+    # Running out of memory means the grid is too large, not a bug: the
+    # entry names its size and --max-n, no traceback is printed, the exit
+    # code is 1 and the grid after it is still computed.
+    genus_handler = cli._VERBS["genus"][0]
+    computed = []
+
+    def out_of_memory_on_the_unknot(G, opts):
+        computed.append(G.n)
+        if G == UNKNOT2:
+            raise MemoryError()
+        return genus_handler(G, opts)
+
+    _stub_handlers(monkeypatch, ("genus",), out_of_memory_on_the_unknot)
+    batch = "\n".join(serialize_grid(G) for G in (TREFOIL5, UNKNOT2, TREFOIL5))
+    monkeypatch.setattr("sys.stdin", io.StringIO(batch))
+    code = cli.run(["genus", "--max-n", "9", "--format", fmt, "-"])
+    out, err = capsys.readouterr()
+    assert (code, err, computed) == (1, "", [5, 2, 5])
+    message = "out of memory on grid size 2 under --max-n 9"
+    if fmt == "text":
+        assert out == f"genus: 1\n\nerror: MemoryError: {message}\n\ngenus: 1\n"
+    else:
+        first, second, third = [json.loads(line) for line in out.splitlines()]
+        assert first == third == {"verb": "genus", "n": 5, "genus": 1}
+        assert second == {"verb": "genus", "error": message, "error_type": "MemoryError"}
+
+
+def test_memory_error_while_parsing_is_refused_in_stream(monkeypatch):
+    def out_of_memory(block, first_line):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "parse_grids", out_of_memory)
+    code, lines, _ = cli._process_entry(("genus", 1, serialize_grid(TREFOIL5), {"max_n": 10}))
+    assert (code, lines) == (1, ["error: MemoryError: out of memory on this grid under --max-n 10"])
+
+
+@pytest.mark.parametrize("fmt", ["text", "records"])
 def test_each_entry_is_written_before_the_next_grid_is_computed(monkeypatch, fmt):
     # A run killed on a late grid must keep the output of the grids before it.
     validate, cost, help_text = cli._VERBS["validate"]
