@@ -43,22 +43,23 @@ the O markings as well, which is the complex whose homology the rest of the
 package consumes.
 
 Both differentials come from one kernel, ``_empty_rectangle_sweep``: one
-eastward sweep per left column, O(n^2) per generator, yielding every empty
-rectangle that avoids the X markings together with whether it also avoids
-the O markings.  Where the X and O markings cut the sweep from a point
-depends on the grid and that point only, not on the rest of the
-generator, so it is kept in a per-grid ``_SweepTable``: an n-by-n table of
-step lists, each filled on the first sweep from its point.  A walk over
+eastward sweep per left column, O(n^2) per generator, yielding the column
+pair (c1, c2) of every empty rectangle that avoids the markings its table
+stops at.  Where those markings cut the sweep from a point depends on the
+grid and that point only, not on the rest of the generator, so it is kept
+in a per-grid ``_SweepTable``: an n-by-n table of step lists, each filled
+on the first sweep from its point, one stop offset per step.  A walk over
 many generators builds one table and passes it down, so the kernel itself
 tracks only the generator's own points.  The full differential sweeps a
-table that stops only at X markings, and records the O markings each
-rectangle sweeps.  The collapsed one sweeps a collapsed table, which
-treats every O as an X, so the kernel yields only the marking-free
-rectangles and its sweeps end at the first marking of either kind.
-``rectangles_from`` builds each rectangle separately, cell by cell, and
-serves as the public API and as the independent check on the kernel.  The
-markings a rectangle covers depend on the grid and its shape only, so they
-are counted once per shape and kept in a bounded memo.
+table that stops only at X markings.  The collapsed one sweeps a collapsed
+table, which treats every O as an X, so the kernel yields only the
+marking-free rectangles and its sweeps end at the first marking of either
+kind.  ``rectangles_from`` builds each rectangle separately, cell by cell,
+and serves as the public API and as the independent check on the kernel.
+The markings a rectangle covers depend on the grid and its shape only, so
+``_marking_counts`` counts them once per shape and keeps them in a bounded
+memo; the full differential takes each term's exponents, the O markings
+its rectangle sweeps, from that memo as well.
 
 Generators are permutation tuples throughout, from the enumeration to the
 boundary rows, so only the cost, factorial in n, limits the grid size.
@@ -237,6 +238,7 @@ def _marking_counts(
 
     They depend on the grid and the shape only, not on the generators, and a
     shape recurs across many generators, so they are counted once per shape.
+    ``rectangles_from`` and the full differential's terms both read them.
     """
     n = len(o_rows)
     o_in = [0] * n
@@ -316,17 +318,17 @@ class _SweepTable:
     """The generator-free part of ``_empty_rectangle_sweep`` for one grid.
 
     ``steps[c1][r1]`` is None until a generator with a point at (c1, r1) is
-    swept, then the sweep's steps from that point: a tuple of (c2, xm, om)
-    for c2 = c1 + 1, c1 + 2, ... (mod n), where xm and om are the least
-    offsets (row - r1) % n of the X and O markings of columns c1..c2-1.  The
-    steps end before the first column whose X sits on row r1, since that X
-    lies in every wider rectangle.
+    swept, then the sweep's steps from that point: a tuple of (c2, stop) for
+    c2 = c1 + 1, c1 + 2, ... (mod n), where stop is the least offset
+    (row - r1) % n of the X markings of columns c1..c2-1.  The steps end
+    before the first column whose X sits on row r1, since that X lies in
+    every wider rectangle.
 
     A ``collapsed`` table, for the complex with every U_c set to 0, treats
-    each O as an X: its steps end before the first column with an X or an O
-    on row r1, and xm and om are both the least offset over both kinds.  So
-    every rectangle the kernel yields from it avoids every marking, and the
-    sweeps stop as soon as no wider rectangle can.
+    each O as an X: stop is the least offset over both kinds, and the steps
+    end before the first column with an X or an O on row r1.  So every
+    rectangle the kernel yields from it avoids every marking, and the sweeps
+    stop as soon as no wider rectangle can.
 
     A walk over many generators of one grid builds one table and passes it
     down; each entry costs O(n) once.  It is filled lazily because all n^2
@@ -339,48 +341,45 @@ class _SweepTable:
     def __init__(self, G: GridDiagram, collapsed: bool = False):
         self.n, self.o_rows, self.x_rows = G.n, G.o_rows, G.x_rows
         self.collapsed = collapsed
-        self.steps: list[list[tuple[tuple[int, int, int], ...] | None]] = [
+        self.steps: list[list[tuple[tuple[int, int], ...] | None]] = [
             [None] * G.n for _ in range(G.n)
         ]
 
-    def fill(self, c1: int, r1: int) -> tuple[tuple[int, int, int], ...]:
+    def fill(self, c1: int, r1: int) -> tuple[tuple[int, int], ...]:
         """Compute, store and return ``steps[c1][r1]``."""
         n, o_rows, x_rows, collapsed = self.n, self.o_rows, self.x_rows, self.collapsed
         out = []
-        xm = om = n
+        stop = n
         for c in range(c1, c1 + n - 1):
             c %= n
             x = (x_rows[c] - r1) % n
-            o = (o_rows[c] - r1) % n
             if collapsed:
-                x = o = x if x < o else o
+                o = (o_rows[c] - r1) % n
+                if o < x:
+                    x = o
             if x == 0:
                 break
-            if x < xm:
-                xm = x
-            if o < om:
-                om = o
-            out.append(((c + 1) % n, xm, om))
+            if x < stop:
+                stop = x
+            out.append(((c + 1) % n, stop))
         steps = self.steps[c1][r1] = tuple(out)
         return steps
 
 
-def _empty_rectangle_sweep(
-    perm: Generator, table: _SweepTable
-) -> Iterator[tuple[int, int, bool]]:
-    """(c1, c2, o_free) for every empty, X-free rectangle with source perm.
+def _empty_rectangle_sweep(perm: Generator, table: _SweepTable) -> Iterator[tuple[int, int]]:
+    """(c1, c2) of every empty rectangle with source perm that the table lets through.
 
-    One eastward sweep per left column c1, O(n^2) per generator.  With
-    r1 = perm[c1], the marking offsets the sweep needs depend only on
-    (c1, r1), so they come from the grid's ``_SweepTable``, filled on first
-    use.  Per step the sweep keeps only ``block``, the least offset
-    (row - r1) % n over the generator points of the columns passed so far,
-    and the height h = (perm[c2] - r1) % n of the rectangle to c2.  That
-    rectangle is empty iff h < block, avoids every X iff h <= xm and every
-    O iff h <= om.  A point at h == 1 blocks every wider rectangle, so it
-    ends the sweep for c1, as the table's steps end at an X at offset 0.
-    From a collapsed table xm == om, so every rectangle yielded is
-    marking-free.
+    From an X-only table those are the rectangles that avoid every X; from
+    a collapsed one, those that avoid every marking.  One eastward sweep per
+    left column c1, O(n^2) per generator.  With r1 = perm[c1], the marking
+    offsets the sweep needs depend only on (c1, r1), so they come from the
+    grid's ``_SweepTable``, filled on first use.  Per step the sweep keeps
+    only ``block``, the least offset (row - r1) % n over the generator
+    points of the columns passed so far, and the height
+    h = (perm[c2] - r1) % n of the rectangle to c2.  That rectangle is empty
+    iff h < block and avoids the table's markings iff h <= stop.  A point at
+    h == 1 blocks every wider rectangle, so it ends the sweep for c1, as the
+    table's steps end at a marking at offset 0.
     """
     n, rows = table.n, table.steps
     for c1, r1 in enumerate(perm):
@@ -388,11 +387,11 @@ def _empty_rectangle_sweep(
         if steps is None:
             steps = table.fill(c1, r1)
         block = n
-        for c2, xm, om in steps:
+        for c2, stop in steps:
             h = (perm[c2] - r1) % n
             if h < block:
-                if h <= xm:
-                    yield c1, c2, h <= om
+                if h <= stop:
+                    yield c1, c2
                 if h == 1:
                     break
                 block = h
@@ -403,26 +402,18 @@ def _minus_terms_from(
 ) -> list[tuple[Generator, tuple[int, ...]]]:
     """(target, exponents) of every empty, X-free rectangle from perm.
 
-    Exponents are computed only for rectangles that sweep an O marking.
-    Targets are plain tuples, so any n works.
+    ``table`` is an X-only ``_SweepTable``.  The exponents are the O half of
+    the rectangle's ``_marking_counts``, the per-shape memo that
+    ``rectangles_from`` reads too.  Targets are plain tuples, so any n works.
     """
-    n, o_rows = table.n, table.o_rows
-    zero = (0,) * n
+    n, o_rows, x_rows = table.n, table.o_rows, table.x_rows
     out = []
-    for c1, c2, o_free in _empty_rectangle_sweep(perm, table):
+    for c1, c2 in _empty_rectangle_sweep(perm, table):
         r1, r2 = perm[c1], perm[c2]
         y = list(perm)
         y[c1], y[c2] = r2, r1
-        if o_free:
-            out.append((tuple(y), zero))
-            continue
-        h = (r2 - r1) % n
-        exps = [0] * n
-        for k in range((c2 - c1) % n):
-            c = (c1 + k) % n
-            if (o_rows[c] - r1) % n < h:
-                exps[c] = 1
-        out.append((tuple(y), tuple(exps)))
+        exps, _ = _marking_counts(o_rows, x_rows, c1, r1, (c2 - c1) % n, (r2 - r1) % n)
+        out.append((tuple(y), exps))
     return out
 
 
@@ -449,7 +440,7 @@ def _tilde_target_codes(perm: Generator, table: _SweepTable) -> list[Generator]:
     corner columns swapped.  A target both rectangles reach is listed twice.
     """
     out = []
-    for c1, c2, _ in _empty_rectangle_sweep(perm, table):
+    for c1, c2 in _empty_rectangle_sweep(perm, table):
         y = list(perm)
         y[c1], y[c2] = y[c2], y[c1]
         out.append(tuple(y))

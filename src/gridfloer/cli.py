@@ -220,11 +220,7 @@ def _process_entry(payload: tuple[str, int, str, dict]) -> Entry:
     except GridError as err:
         return _error_entry(verb, 1, err)
     except MemoryError:
-        # The grid is too large for this machine, not a bug: refuse it
-        # in-stream, like --max-n, and go on with the batch.
-        size = "this grid" if G is None else f"grid size {G.n}"
-        err = MemoryError(f"out of memory on {size} under --max-n {opts['max_n']}")
-        return _error_entry(verb, 1, err)
+        return _out_of_memory(verb, None if G is None else G.n, opts["max_n"])
     except Exception as err:
         # A bug here, not bad input: keep the traceback on stderr, report
         # the entry in-stream and go on with the batch.  Imported here, as
@@ -241,6 +237,17 @@ def _error_entry(verb: str, code: int, err: Exception) -> Entry:
     return code, [f"error: {name}: {err}"], record
 
 
+def _out_of_memory(verb: str, n: int | None, max_n: int) -> Entry:
+    """The refusal of a grid that ran out of memory, of size n if known.
+
+    The grid is too large for this machine, not a bug: it is refused
+    in-stream, like --max-n, with exit 1 and no traceback, and the batch
+    goes on.
+    """
+    size = "this grid" if n is None else f"grid size {n}"
+    return _error_entry(verb, 1, MemoryError(f"out of memory on {size} under --max-n {max_n}"))
+
+
 def _read_text(path: str) -> str:
     """The input as text, without the byte-order mark some editors put first."""
     if path == "-":
@@ -253,20 +260,35 @@ def _read_text(path: str) -> str:
     return text.removeprefix("\ufeff")
 
 
-def _emit(entries: Iterable[Entry], fmt: str) -> int:
-    """Write each entry to stdout as it arrives; return the worst code, or 1 if stdout fails."""
+def _emit(entries: Iterable[Entry], fmt: str, max_n: int) -> int:
+    """Write each entry to stdout as it arrives; return the worst code, or 1 if stdout fails.
+
+    An entry that runs out of memory while it is formatted or written is
+    replaced by the refusal ``_process_entry`` gives a grid that does.
+    """
     worst = 0
-    for i, (code, lines, record) in enumerate(entries):
+    for i, entry in enumerate(entries):
         try:
-            if fmt == "records":
-                sys.stdout.write(json.dumps(record, sort_keys=True) + "\n")
-            else:
-                sys.stdout.write(("\n" if i else "") + "\n".join(lines) + "\n")
-            sys.stdout.flush()
+            try:
+                _write(entry, fmt, i)
+            except MemoryError:
+                record = entry[2]
+                entry = _out_of_memory(record.get("verb"), record.get("n"), max_n)
+                _write(entry, fmt, i)
         except OSError as err:
             return _stdout_failed(err)
-        worst = max(worst, code)
+        worst = max(worst, entry[0])
     return worst
+
+
+def _write(entry: Entry, fmt: str, i: int) -> None:
+    """Write the i-th entry of the batch to stdout: a JSON line, or a text block."""
+    _, lines, record = entry
+    if fmt == "records":
+        sys.stdout.write(json.dumps(record, sort_keys=True) + "\n")
+    else:
+        sys.stdout.write(("\n" if i else "") + "\n".join(lines) + "\n")
+    sys.stdout.flush()
 
 
 def _stdout_failed(err: OSError) -> int:
@@ -391,7 +413,7 @@ def run(argv: list[str] | None = None) -> int:
             return 1
         record = {"verb": "random", "seed": args.seed, "grid": _grid_json(G)}
         entry: Entry = (0, serialize_grid(G).splitlines(), record)
-        return _emit([entry], args.format)
+        return _emit([entry], args.format, args.max_n)
 
     try:
         blocks = _split_grids(_read_text(args.path))
@@ -402,8 +424,8 @@ def run(argv: list[str] | None = None) -> int:
     payloads = [(args.verb, first_line, block, vars(args)) for first_line, block in blocks]
     if args.jobs > 1 and len(payloads) > 1:
         with Pool(processes=min(args.jobs, len(payloads), os.cpu_count() or 1)) as pool:
-            return _emit(pool.imap(_process_entry, payloads), args.format)
-    return _emit(map(_process_entry, payloads), args.format)
+            return _emit(pool.imap(_process_entry, payloads), args.format, args.max_n)
+    return _emit(map(_process_entry, payloads), args.format, args.max_n)
 
 
 def main() -> None:

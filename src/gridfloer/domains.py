@@ -55,6 +55,8 @@ __all__ = [
 
 _Table = tuple[tuple[int, ...], ...]
 
+_NOT_PERMUTATIONS = "source and target must be permutations of 0..n-1"
+
 
 class _TableFacts(NamedTuple):
     """What a multiplicity table fixes on its own, whatever the generators.
@@ -90,7 +92,10 @@ def _table_facts(m: _Table) -> _TableFacts:
 
 
 def _first_defect(defect: dict, source: Generator, target: Generator) -> str:
-    """The mismatch of a rejected domain: its first defect in row-major order."""
+    """The mismatch of a rejected domain: a point that is not an int, else its
+    first defect in row-major order."""
+    if any(type(p) is not int for p in (*source, *target)):
+        return _NOT_PERMUTATIONS
     residual = dict(defect)
     for c, (s, t) in enumerate(zip(source, target)):
         residual[c, t] = residual.get((c, t), 0) - 1
@@ -105,7 +110,8 @@ class GridDomain:
 
     ``multiplicities[c][r]`` is the coefficient of the cell whose lower-left
     lattice corner is (c, r).  Negative coefficients are allowed.  Validated
-    on construction: along each horizontal circle the boundary segments must
+    on construction: ``source`` and ``target`` must be permutations of the
+    ints 0..n-1, and along each horizontal circle the boundary segments must
     begin at points of ``source`` and end at points of ``target``.  The
     table's ``_TableFacts``, looked up once for that, stay on the domain.
     """
@@ -121,7 +127,7 @@ class GridDomain:
         n = len(self.source)
         rows = list(range(n))
         if sorted(self.source) != rows or sorted(self.target) != rows:
-            raise BoundaryMismatch("source and target must be permutations of 0..n-1")
+            raise BoundaryMismatch(_NOT_PERMUTATIONS)
         if list(map(len, m)) != [n] * n:
             raise BoundaryMismatch(f"multiplicity table must be {n}x{n}")
         # The table's defect must be +1 at (c, target[c]) and -1 at
@@ -131,6 +137,9 @@ class GridDomain:
         defect = facts.defect
         moved = 0
         for c, (s, t) in enumerate(zip(self.source, self.target)):
+            # 1.0 and True sort like 1, but only an int indexes the table.
+            if type(s) is not int or type(t) is not int:
+                break
             if s != t:
                 moved += 1
                 if defect.get((c, t)) != 1 or defect.get((c, s)) != -1:

@@ -48,11 +48,14 @@ class CheckResult:
 def _sources(G: GridDiagram) -> tuple[list[tuple[int, ...]], str]:
     if G.n <= EXHAUSTIVE_LIMIT:
         return list(itertools.permutations(range(G.n))), "all generators"
+    # Draw until SAMPLE_SIZE are distinct, keeping each at its first draw:
+    # a repeated source would count its composites twice in the XOR set of
+    # minus_d_squared, and they would cancel.
     rng = random.Random(SAMPLE_SEED)
-    sample = [
-        tuple(rng.sample(range(G.n), G.n)) for _ in range(SAMPLE_SIZE)
-    ]
-    return sample, f"{SAMPLE_SIZE} sampled generators"
+    sample: dict[tuple[int, ...], None] = {}
+    while len(sample) < SAMPLE_SIZE:
+        sample[tuple(rng.sample(range(G.n), G.n))] = None
+    return list(sample), f"{SAMPLE_SIZE} sampled generators"
 
 
 class _Run:
@@ -120,7 +123,10 @@ def _check_tilde_matches_minus(run: _Run) -> CheckResult:
     at X markings only; setting every U to zero keeps the terms that sweep
     no O, which come from a collapsed table that stops at both kinds.
     ``rectangles_from`` builds each rectangle separately, so it checks the
-    sweep kernel both differentials share on both kinds of table.
+    rectangle sets of the sweep kernel both differentials share, on both
+    kinds of table.  It does not check the exponents: the terms take them
+    from the same per-shape memo, ``chain._marking_counts``, as the
+    rectangles do.  ``grading_laws`` checks them against the gradings.
     """
     collapsed = _SweepTable(run.G, collapsed=True)
     checked = 0

@@ -420,6 +420,8 @@ def oracle_check_domain(source, target, multiplicities) -> None:
         raise BoundaryMismatch("source and target must be permutations of 0..n-1")
     if len(m) != n or any(len(col) != n for col in m):
         raise BoundaryMismatch(f"multiplicity table must be {n}x{n}")
+    if any(type(p) is not int for p in (*source, *target)):
+        raise BoundaryMismatch("source and target must be permutations of 0..n-1")
     src = set(enumerate(source))
     tgt = set(enumerate(target))
     for j in range(n):

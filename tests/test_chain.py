@@ -355,12 +355,14 @@ def _odd_targets(targets) -> list:
 
 
 def _terms_by_rectangles(G, x):
-    """(kernel triples, minus terms as a multiset, tilde targets) via rectangles_from."""
+    """Via rectangles_from: the kernel's (c1, c2) pairs, the O-free ones among
+    them, minus terms as a multiset and tilde targets."""
     kept = [r for r in rectangles_from(G, x) if r.empty and r.x_total == 0]
-    sweep = {(r.c1, r.c2, r.o_total == 0) for r in kept}
+    sweep = {(r.c1, r.c2) for r in kept}
+    o_free = {(r.c1, r.c2) for r in kept if r.o_total == 0}
     minus = Counter((r.target, r.o_count) for r in kept)
     tilde = _odd_targets(r.target for r in kept if r.o_total == 0)
-    return sweep, minus, tilde
+    return sweep, o_free, minus, tilde
 
 
 def _terms_by_corners(G, x):
@@ -384,16 +386,16 @@ def _both_tables(G) -> tuple:
 def _assert_kernel_matches(G, x, tables, corners: bool = False) -> None:
     """Both kinds of sweep table against the rectangles built one by one.
 
-    ``tables`` is (X-only, collapsed), as from ``_both_tables``: the
-    collapsed sweep must yield exactly the O-free rectangles of the X-only
-    one, every one of them flagged O-free.
+    ``tables`` is (X-only, collapsed), as from ``_both_tables``: the X-only
+    sweep must yield each empty X-free rectangle once, and the collapsed
+    sweep each one of those that is O-free as well.
     """
     table, collapsed = tables
-    sweep, minus, tilde = _terms_by_rectangles(G, x)
+    sweep, o_free, minus, tilde = _terms_by_rectangles(G, x)
     got = list(_empty_rectangle_sweep(x, table))
     assert len(got) == len(set(got)) and set(got) == sweep, (G, x)
     marking_free = sorted(_empty_rectangle_sweep(x, collapsed))
-    assert marking_free == sorted(t for t in got if t[2]), (G, x)
+    assert marking_free == sorted(o_free), (G, x)
     assert Counter(_minus_terms_from(x, table)) == minus, (G, x)
     assert tilde_targets(G, x) == tilde, (G, x)
     if corners:
@@ -448,19 +450,18 @@ def _direct_steps(G, c1: int, r1: int, collapsed: bool = False) -> tuple:
     """The sweep steps from (c1, r1), each minimum taken afresh over its columns.
 
     The steps end at an X on row r1; collapsed, at an X or an O on row r1,
-    with both offsets the least over both marking kinds.
+    with the stop offset the least over both marking kinds.
     """
     n = G.n
     steps = []
     for width in range(1, n):
         cols = [(c1 + k) % n for k in range(width)]
-        xs = [(G.x_rows[c] - r1) % n for c in cols]
-        os_ = [(G.o_rows[c] - r1) % n for c in cols]
+        stops = [(G.x_rows[c] - r1) % n for c in cols]
         if collapsed:
-            xs = os_ = xs + os_
-        if 0 in xs:
+            stops += [(G.o_rows[c] - r1) % n for c in cols]
+        if 0 in stops:
             break
-        steps.append(((c1 + width) % n, min(xs), min(os_)))
+        steps.append(((c1 + width) % n, min(stops)))
     return tuple(steps)
 
 
@@ -486,8 +487,8 @@ def test_kernel_sweeps_wrap_around_the_torus():
     table, collapsed = tables = _both_tables(TREFOIL5)
     got = set(_empty_rectangle_sweep(x, table))
     # Columns 4 -> 1 wrap east past column 0; rows 4 -> 1 wrap north past row 0.
-    assert got == {(1, 2, True), (2, 3, True), (3, 4, False), (4, 1, False)}
-    assert set(_empty_rectangle_sweep(x, collapsed)) == {(1, 2, True), (2, 3, True)}
+    assert got == {(1, 2), (2, 3), (3, 4), (4, 1)}
+    assert set(_empty_rectangle_sweep(x, collapsed)) == {(1, 2), (2, 3)}
     _assert_kernel_matches(TREFOIL5, x, tables, corners=True)
 
 
@@ -507,5 +508,5 @@ def test_point_one_row_up_ends_the_sweep():
     x = tuple(range(7))
     table, _ = tables = _both_tables(TWIST7)
     got = list(_empty_rectangle_sweep(x, table))
-    assert [(c1, c2) for c1, c2, _ in got] == [(c, (c + 1) % 7) for c in range(7)]
+    assert got == [(c, (c + 1) % 7) for c in range(7)]
     _assert_kernel_matches(TWIST7, x, tables, corners=True)

@@ -176,6 +176,35 @@ def test_memory_error_while_parsing_is_refused_in_stream(monkeypatch):
     assert (code, lines) == (1, ["error: MemoryError: out of memory on this grid under --max-n 10"])
 
 
+class _FirstWriteRunsOutOfMemory(io.StringIO):
+    """A stdout whose first write raises MemoryError and writes nothing."""
+
+    failed = False
+
+    def write(self, text: str) -> int:
+        if not self.failed:
+            self.failed = True
+            raise MemoryError()
+        return super().write(text)
+
+
+@pytest.mark.parametrize("fmt", ["text", "records"])
+def test_memory_error_while_writing_is_refused_in_stream(monkeypatch, capsys, fmt):
+    stdout = _FirstWriteRunsOutOfMemory()
+    monkeypatch.setattr("sys.stdout", stdout)
+    batch = "\n".join(serialize_grid(G) for G in (TREFOIL5, UNKNOT2))
+    monkeypatch.setattr("sys.stdin", io.StringIO(batch))
+    code = cli.run(["genus", "--format", fmt, "-"])
+    assert (code, capsys.readouterr().err) == (1, "")
+    message = "out of memory on grid size 5 under --max-n 10"
+    if fmt == "text":
+        assert stdout.getvalue() == f"error: MemoryError: {message}\n\ngenus: 0\n"
+    else:
+        first, second = [json.loads(line) for line in stdout.getvalue().splitlines()]
+        assert first == {"verb": "genus", "error": message, "error_type": "MemoryError"}
+        assert second == {"verb": "genus", "n": 2, "genus": 0}
+
+
 @pytest.mark.parametrize("fmt", ["text", "records"])
 def test_each_entry_is_written_before_the_next_grid_is_computed(monkeypatch, fmt):
     # A run killed on a late grid must keep the output of the grids before it.

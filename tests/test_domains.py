@@ -58,6 +58,19 @@ def test_domain_rejects_wrong_shape():
         GridDomain((0, 1), (1, 0), ((1,), (0,)))
 
 
+@pytest.mark.parametrize(
+    "source", [(0, 1.0, 2), (False, True, 2)], ids=["float", "bool"]
+)
+def test_domain_rejects_points_that_are_not_ints(source):
+    # Both sort like (0, 1, 2), but a table indexed by them is not a domain.
+    zeros = ((0,) * 3,) * 3
+    for points in ((source, (0, 1, 2)), ((0, 1, 2), source), ((2, 1, 0), source)):
+        with pytest.raises(BoundaryMismatch, match="permutations"):
+            GridDomain(*points, zeros)
+        with pytest.raises(BoundaryMismatch, match="permutations"):
+            oracle_check_domain(*points, zeros)
+
+
 def test_domain_rejects_boundary_defects():
     # A single cell cannot carry a boundary from a generator to itself.
     mult = [[0, 0], [0, 0]]

@@ -8,9 +8,9 @@ from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
-from gridfloer import cli, random_grid, run_checks, verify
+from gridfloer import chain, cli, random_grid, rectangles_from, run_checks, verify
 
-from .helpers import KNOWN_GRIDS, TREFOIL5
+from .helpers import KNOWN_GRIDS, TREFOIL5, TWIST7
 
 GRIDS_DIR = Path(__file__).resolve().parent.parent / "grids"
 
@@ -103,6 +103,44 @@ def test_a_wrong_index_fails_only_the_index_check(monkeypatch):
     assert [(r.name, r.detail) for r in failed] == [
         ("index_one_iff_empty", f"rectangle {x} -> {y} has index 3, empty=True")
     ]
+
+
+def test_an_extra_o_in_the_shared_marking_memo_fails_the_grading_laws(monkeypatch):
+    # The terms and the rectangles take their O markings from one memo, so
+    # tilde_matches_minus cannot see a wrong count there; the gradings can.
+    x, rect = next(
+        (x, r)
+        for x in itertools.permutations(range(5))
+        for r in rectangles_from(TREFOIL5, x)
+        if r.empty and r.x_total == 0
+    )
+    shape = (rect.c1, rect.r1, rect.width, rect.height)
+    extra = rect.o_count.index(0)
+    real = chain._marking_counts
+
+    def marking_counts(o_rows, x_rows, c1, r1, w, h):
+        o_in, x_in = real(o_rows, x_rows, c1, r1, w, h)
+        if (c1, r1, w, h) == shape:
+            o_in = tuple(int(k or c == extra) for c, k in enumerate(o_in))
+        return o_in, x_in
+
+    monkeypatch.setattr(chain, "_marking_counts", marking_counts)
+    results = {r.name: r for r in run_checks(TREFOIL5)}
+    swept = rect.o_total
+    assert not results["grading_laws"].passed
+    assert results["grading_laws"].detail == (
+        f"term {x} -> {rect.target} drops (M, 2A) by ({1 - 2 * swept}, {-2 * swept})"
+        f" with {swept + 1} O markings swept"
+    )
+
+
+def test_sampled_sources_are_distinct_and_in_draw_order():
+    sources, scope = verify._sources(TWIST7)
+    assert len(set(sources)) == len(sources) == verify.SAMPLE_SIZE
+    assert scope == f"{verify.SAMPLE_SIZE} sampled generators"
+    rng = random.Random(verify.SAMPLE_SEED)
+    draws = [tuple(rng.sample(range(7), 7)) for _ in range(2 * verify.SAMPLE_SIZE)]
+    assert sources == list(dict.fromkeys(draws))[: verify.SAMPLE_SIZE]
 
 
 def test_a_wrong_index_is_reported_in_stream_with_exit_two(monkeypatch, capsys):
