@@ -128,35 +128,27 @@ class BigradedRanks:
         return " + ".join(parts)
 
 
-def _boundary_rows(table: _SweepTable, levels: Mapping[int, list[Generator]]):
-    """The collapsed boundary blocks of one Alexander level, one Maslov level at a time.
-
-    Yields (m, rows) for each Maslov level m in increasing order.  rows[j] is
-    the mod-2 boundary of the j-th source at m as an int bitset over the
-    lexicographic index of the generators at m - 1.  ``table`` is the
-    grid's collapsed sweep table, shared by every level of one walk.
-    """
-    index = {m: {x: i for i, x in enumerate(gens)} for m, gens in levels.items()}
-    for m in sorted(levels):
-        lower = index.get(m - 1, {})
-        rows = []
-        for x in levels[m]:
-            mask = 0
-            for y in _tilde_target_codes(x, table):
-                mask ^= 1 << lower[y]
-            rows.append(mask)
-        yield m, rows
-
-
 def _level_ranks(
     table: _SweepTable, two_a: int, levels: Mapping[int, list[Generator]]
 ) -> dict[int, int]:
     """{Maslov: rank} of the nonzero homology of one Alexander level.
 
-    The rank at m is dim C(m) minus the ranks of the boundary blocks out of
-    m and into m.
+    The boundary block out of Maslov level m has one row per source at m:
+    its mod-2 boundary as an int bitset over the lexicographic index of the
+    generators at m - 1.  ``table`` is the grid's collapsed sweep table,
+    shared by every level of one walk.  The rank at m is dim C(m) minus the
+    ranks of the blocks out of m and into m.
     """
-    boundary_rank = {m: gf2_rank(rows) for m, rows in _boundary_rows(table, levels)}
+    boundary_rank = {}
+    for m, sources in levels.items():
+        lower = {y: i for i, y in enumerate(levels.get(m - 1, ()))}
+        rows = []
+        for x in sources:
+            mask = 0
+            for y in _tilde_target_codes(x, table):
+                mask ^= 1 << lower[y]
+            rows.append(mask)
+        boundary_rank[m] = gf2_rank(rows)
     ranks = {}
     for m, gens in levels.items():
         h = len(gens) - boundary_rank.get(m, 0) - boundary_rank.get(m + 1, 0)
@@ -171,9 +163,11 @@ def _level_ranks(
 def homology_ranks(G: GridDiagram) -> BigradedRanks:
     """Bigraded homology ranks of the fully collapsed complex.
 
-    Streams one Alexander level at a time: within a level, per-Maslov bases
+    Ranks one Alexander level at a time: within a level, per-Maslov bases
     are indexed in lexicographic order, boundary rows are built as int
-    bitsets, and only ranks survive the level.
+    bitsets, and only ranks survive the level.  The generators are not
+    streamed: ``iter_alexander_levels`` buckets every level before it
+    yields the first, so all n! are held at once.
     """
     table = _SweepTable(G, collapsed=True)
     ranks: dict[tuple[int, Fraction], int] = {}

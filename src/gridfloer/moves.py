@@ -44,13 +44,9 @@ def _check_index(G: GridDiagram, i: int, what: str) -> None:
         raise IllegalMove(f"{what} {i} out of range 0..{G.n - 1}")
 
 
-def _cyclic_row(G: GridDiagram, steps: int) -> GridDiagram:
-    n = G.n
-    return GridDiagram(
-        n,
-        tuple((r + steps) % n for r in G.o_rows),
-        tuple((r + steps) % n for r in G.x_rows),
-    )
+def _transpose(G: GridDiagram) -> GridDiagram:
+    """G reflected in its diagonal: row r becomes column r, and back again."""
+    return GridDiagram(G.n, G.o_cols, G.x_cols)
 
 
 def _cyclic_column(G: GridDiagram, steps: int) -> GridDiagram:
@@ -62,53 +58,23 @@ def _cyclic_column(G: GridDiagram, steps: int) -> GridDiagram:
     )
 
 
-def _spans_commute(a: tuple[int, int], b: tuple[int, int]) -> bool:
-    # Legal iff the two marking spans are disjoint or strictly nested;
-    # sharing an endpoint or interleaving changes the link.
-    (a1, a2), (b1, b2) = a, b
-    if a2 < b1 or b2 < a1:
-        return True
-    if a1 < b1 and b2 < a2:
-        return True
-    if b1 < a1 and a2 < b2:
-        return True
-    return False
-
-
-def _commute_columns(G: GridDiagram, c: int) -> GridDiagram:
-    _check_index(G, c, "column")
+def _commute(G: GridDiagram, c: int, noun: str) -> GridDiagram:
+    """Swap columns c and c + 1 (mod n); ``noun`` names them in the errors."""
+    _check_index(G, c, noun)
     d = (c + 1) % G.n
-    span_c = tuple(sorted((G.o_rows[c], G.x_rows[c])))
-    span_d = tuple(sorted((G.o_rows[d], G.x_rows[d])))
-    if not _spans_commute(span_c, span_d):
-        raise IllegalMove(f"columns {c} and {d} interleave or share an endpoint")
+    a1, a2 = sorted((G.o_rows[c], G.x_rows[c]))
+    b1, b2 = sorted((G.o_rows[d], G.x_rows[d]))
+    # Legal iff the two marking spans are disjoint or strictly nested: four
+    # distinct endpoints, with both ends of the second span strictly inside
+    # the first or neither.  Sharing an endpoint or interleaving changes the
+    # link.
+    if len({a1, a2, b1, b2}) < 4 or (a1 < b1 < a2) != (a1 < b2 < a2):
+        raise IllegalMove(f"{noun}s {c} and {d} interleave or share an endpoint")
     o = list(G.o_rows)
     x = list(G.x_rows)
     o[c], o[d] = o[d], o[c]
     x[c], x[d] = x[d], x[c]
     return GridDiagram(G.n, tuple(o), tuple(x))
-
-
-def _commute_rows(G: GridDiagram, r: int) -> GridDiagram:
-    _check_index(G, r, "row")
-    s = (r + 1) % G.n
-    span_r = tuple(sorted((G.o_cols[r], G.x_cols[r])))
-    span_s = tuple(sorted((G.o_cols[s], G.x_cols[s])))
-    if not _spans_commute(span_r, span_s):
-        raise IllegalMove(f"rows {r} and {s} interleave or share an endpoint")
-
-    def swap(v: int) -> int:
-        if v == r:
-            return s
-        if v == s:
-            return r
-        return v
-
-    return GridDiagram(
-        G.n,
-        tuple(swap(v) for v in G.o_rows),
-        tuple(swap(v) for v in G.x_rows),
-    )
 
 
 def _stabilize(G: GridDiagram, c: int) -> GridDiagram:
@@ -156,10 +122,11 @@ def _destabilize(G: GridDiagram, c: int) -> GridDiagram:
 
 
 _APPLY = {
-    MoveKind.CYCLIC_ROW: _cyclic_row,
+    # A row move is the column move on the transpose, transposed back.
+    MoveKind.CYCLIC_ROW: lambda G, s: _transpose(_cyclic_column(_transpose(G), s)),
     MoveKind.CYCLIC_COLUMN: _cyclic_column,
-    MoveKind.COMMUTE_COLUMNS: _commute_columns,
-    MoveKind.COMMUTE_ROWS: _commute_rows,
+    MoveKind.COMMUTE_COLUMNS: lambda G, c: _commute(G, c, "column"),
+    MoveKind.COMMUTE_ROWS: lambda G, r: _transpose(_commute(_transpose(G), r, "row")),
     MoveKind.STABILIZE: _stabilize,
     MoveKind.DESTABILIZE: _destabilize,
 }

@@ -16,7 +16,6 @@ import random
 from dataclasses import dataclass
 
 from .chain import (
-    Rectangle,
     _SweepTable,
     _grade,
     _grading_tables,
@@ -58,50 +57,18 @@ def _sources(G: GridDiagram) -> tuple[list[tuple[int, ...]], str]:
     return list(sample), f"{SAMPLE_SIZE} sampled generators"
 
 
-class _Run:
-    """The work the checks of one ``run_checks`` share, each piece done once.
+def _check_minus_d_squared(terms: dict, table: _SweepTable, scope: str) -> CheckResult:
+    """d^2 = 0 over GF(2)[U..]: compositions cancel in pairs, exponents added.
 
-    ``terms(x)`` is ``_minus_terms_from`` on one X-only sweep table, kept
-    for every source: ``minus_d_squared`` reads it for sources and middle
-    generators alike, ``tilde_matches_minus`` and ``grading_laws`` for
-    sources.  A middle generator that is not a source (only when sources are
-    sampled) is swept each time it is met, not kept.
-    ``rectangles(x)`` is the list ``rectangles_from`` builds for source x,
-    read by ``tilde_matches_minus`` and ``index_one_iff_empty``; so every
-    source's list is held from the first of those checks to the end of the
-    second.  The run is dropped before ``peel_exact``.
+    ``terms`` maps each source to its terms; a middle generator that is not
+    a source (only when sources are sampled) is swept on ``table`` each time
+    it is met.
     """
-
-    def __init__(self, G: GridDiagram):
-        self.G = G
-        self.sources, self.scope = _sources(G)
-        self.table = _SweepTable(G)
-        # A source's terms once swept; None until then.
-        self._terms: dict[tuple[int, ...], list | None] = dict.fromkeys(self.sources)
-        self._rectangles: dict[tuple[int, ...], list[Rectangle]] = {}
-
-    def terms(self, x: tuple[int, ...]) -> list:
-        terms = self._terms.get(x)
-        if terms is None:
-            terms = _minus_terms_from(x, self.table)
-            if x in self._terms:
-                self._terms[x] = terms
-        return terms
-
-    def rectangles(self, x: tuple[int, ...]) -> list[Rectangle]:
-        rects = self._rectangles.get(x)
-        if rects is None:
-            rects = self._rectangles[x] = list(rectangles_from(self.G, x))
-        return rects
-
-
-def _check_minus_d_squared(run: _Run) -> CheckResult:
-    """d^2 = 0 over GF(2)[U..]: compositions cancel in pairs, exponents added."""
     odd: set[tuple] = set()
     count = 0
-    for x in run.sources:
-        for y, e1 in run.terms(x):
-            for z, e2 in run.terms(y):
+    for x, x_terms in terms.items():
+        for y, e1 in x_terms:
+            for z, e2 in terms[y] if y in terms else _minus_terms_from(y, table):
                 count += 1
                 key = (x, z, tuple(a + b for a, b in zip(e1, e2)))
                 odd ^= {key}
@@ -112,10 +79,12 @@ def _check_minus_d_squared(run: _Run) -> CheckResult:
             False,
             f"odd composite count from {x} to {z} with exponents {exps}",
         )
-    return CheckResult("minus_d_squared", True, f"{count} composites over {run.scope}")
+    return CheckResult("minus_d_squared", True, f"{count} composites over {scope}")
 
 
-def _check_tilde_matches_minus(run: _Run) -> CheckResult:
+def _check_tilde_matches_minus(
+    G: GridDiagram, terms: dict, rects: dict, scope: str
+) -> CheckResult:
     """Both differentials keep exactly the rectangles built one by one.
 
     The full differential has one term per empty rectangle avoiding every X,
@@ -128,35 +97,35 @@ def _check_tilde_matches_minus(run: _Run) -> CheckResult:
     from the same per-shape memo, ``chain._marking_counts``, as the
     rectangles do.  ``grading_laws`` checks them against the gradings.
     """
-    collapsed = _SweepTable(run.G, collapsed=True)
+    collapsed = _SweepTable(G, collapsed=True)
     checked = 0
-    for x in run.sources:
+    for x, x_terms in terms.items():
         minus = [
             (r.target, r.o_count)
-            for r in run.rectangles(x)
+            for r in rects[x]
             if r.empty and r.x_total == 0
         ]
         want = sorted(y for y, exps in minus if not any(exps))
         got = sorted(_tilde_target_codes(x, collapsed))
-        if sorted(minus) != sorted(run.terms(x)) or want != got:
+        if sorted(minus) != sorted(x_terms) or want != got:
             return CheckResult(
                 "tilde_matches_minus", False, f"term mismatch at source {x}"
             )
         checked += len(got)
-    return CheckResult("tilde_matches_minus", True, f"{checked} terms over {run.scope}")
+    return CheckResult("tilde_matches_minus", True, f"{checked} terms over {scope}")
 
 
-def _check_grading_laws(run: _Run) -> CheckResult:
+def _check_grading_laws(G: GridDiagram, terms: dict, scope: str) -> CheckResult:
     """Generator gradings across each term: M drops by 1 - 2*(O swept) and A
     rises by the O count (the U weights carry degree -2 and -1, restoring the
     drop of the weighted term to exactly one in M and zero in A)."""
-    tables = _grading_tables(run.G)
+    tables = _grading_tables(G)
     # Each generator is the target of several terms; grade it once.
     grade = functools.cache(lambda y: _grade(y, tables))
     count = 0
-    for x in run.sources:
+    for x, x_terms in terms.items():
         m_x, a_x = grade(x)
-        for y, exps in run.terms(x):
+        for y, exps in x_terms:
             m_y, a_y = grade(y)
             swept = sum(exps)
             if m_x - m_y != 1 - 2 * swept or a_x - a_y != -2 * swept:
@@ -167,14 +136,14 @@ def _check_grading_laws(run: _Run) -> CheckResult:
                     f" with {swept} O markings swept",
                 )
             count += 1
-    return CheckResult("grading_laws", True, f"{count} terms over {run.scope}")
+    return CheckResult("grading_laws", True, f"{count} terms over {scope}")
 
 
-def _check_index_one_iff_empty(run: _Run) -> CheckResult:
+def _check_index_one_iff_empty(rects: dict, scope: str) -> CheckResult:
     """Lipshitz index via domains is 1 exactly on empty rectangles."""
     count = 0
-    for x in run.sources:
-        for rect in run.rectangles(x):
+    for x, x_rects in rects.items():
+        for rect in x_rects:
             mu = maslov_index(from_rectangle(rect))
             if (mu == 1) != rect.empty:
                 return CheckResult(
@@ -183,7 +152,7 @@ def _check_index_one_iff_empty(run: _Run) -> CheckResult:
                     f"rectangle {x} -> {rect.target} has index {mu}, empty={rect.empty}",
                 )
             count += 1
-    return CheckResult("index_one_iff_empty", True, f"{count} rectangles over {run.scope}")
+    return CheckResult("index_one_iff_empty", True, f"{count} rectangles over {scope}")
 
 
 def _check_peel_exact(G: GridDiagram) -> CheckResult:
@@ -199,14 +168,24 @@ def _check_peel_exact(G: GridDiagram) -> CheckResult:
 
 
 def run_checks(G: GridDiagram) -> list[CheckResult]:
-    """Run every structural check; order and content are deterministic."""
-    run = _Run(G)
-    results = [
-        _check_minus_d_squared(run),
-        _check_tilde_matches_minus(run),
-        _check_grading_laws(run),
-        _check_index_one_iff_empty(run),
+    """Run every structural check; order and content are deterministic.
+
+    Each source's work is done once: its ``_minus_terms_from`` list, on one
+    X-only sweep table, before the first check, and its ``rectangles_from``
+    list after it, so the lists are not held during the XOR set of
+    ``minus_d_squared``.  Both are freed before the homology walk of
+    ``peel_exact``.
+    """
+    sources, scope = _sources(G)
+    table = _SweepTable(G)
+    terms = {x: _minus_terms_from(x, table) for x in sources}
+    results = [_check_minus_d_squared(terms, table, scope)]
+    rects = {x: list(rectangles_from(G, x)) for x in sources}
+    results += [
+        _check_tilde_matches_minus(G, terms, rects, scope),
+        _check_grading_laws(G, terms, scope),
+        _check_index_one_iff_empty(rects, scope),
     ]
-    del run  # free the held terms and rectangles before the homology walk
+    del terms, rects
     results.append(_check_peel_exact(G))
     return results

@@ -19,8 +19,11 @@ from __future__ import annotations
 
 import functools
 import itertools
+import os
 import random
 from fractions import Fraction
+from pathlib import Path
+from typing import Mapping
 
 from gridfloer import (
     GridDiagram,
@@ -57,6 +60,17 @@ LINK4_8 = new_grid(8, (4, 1, 5, 2, 0, 6, 7, 3), (7, 6, 2, 5, 3, 1, 4, 0))
 
 KNOWN_KNOTS = (UNKNOT2, UNKNOT4, TREFOIL5, FIG8_6, TORUS25_7, TWIST7)
 KNOWN_GRIDS = KNOWN_KNOTS + (HOPF4,)
+
+def cli_env(base: Mapping[str, str] = os.environ) -> dict[str, str]:
+    """A copy of ``base`` with this checkout's src/ first on PYTHONPATH.
+
+    pytest's ``pythonpath`` setting reaches only its own process, so a child
+    ``python -m gridfloer`` needs this to import the package uninstalled.
+    Existing PYTHONPATH entries are kept after src/.
+    """
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, (src, base.get("PYTHONPATH"))))
+    return {**base, "PYTHONPATH": path}
 
 
 def random_knot_grid(n: int, rng: random.Random) -> GridDiagram:

@@ -40,6 +40,7 @@ from .helpers import (
     FIG8_6,
     TREFOIL5,
     UNKNOT2,
+    cli_env,
     d_squared_suite,
     oracle_empty_rectangles,
     random_knot_grid,
@@ -53,6 +54,7 @@ def run_cli(*args: str) -> subprocess.CompletedProcess:
     return subprocess.run(
         [sys.executable, "-m", "gridfloer", *args],
         capture_output=True,
+        env=cli_env(),
         timeout=540,
     )
 

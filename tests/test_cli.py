@@ -26,7 +26,7 @@ from gridfloer import (
     serialize_grid,
 )
 
-from .helpers import HOPF4, TREFOIL5, UNKNOT2, stabilized
+from .helpers import HOPF4, TREFOIL5, UNKNOT2, cli_env, stabilized
 
 GRIDS_DIR = Path(__file__).resolve().parent.parent / "grids"
 
@@ -37,6 +37,7 @@ def run_cli(*args: str, stdin: str | None = None) -> subprocess.CompletedProcess
         input=stdin,
         capture_output=True,
         text=True,
+        env=cli_env(),
         timeout=300,
     )
 
@@ -324,7 +325,7 @@ def test_input_that_is_not_utf8_fails_cleanly(tmp_path, source):
         [sys.executable, "-m", "gridfloer", "validate", str(path) if source == "file" else "-"],
         input=None if source == "file" else data,
         capture_output=True,
-        env={**os.environ, "PYTHONIOENCODING": "utf-8"},
+        env=cli_env({**os.environ, "PYTHONIOENCODING": "utf-8"}),
         timeout=300,
     )
     stderr = done.stderr.decode()
@@ -343,7 +344,7 @@ def test_input_with_utf8_bom_parses(tmp_path, source):
         [sys.executable, "-m", "gridfloer", "validate", str(path) if source == "file" else "-"],
         input=None if source == "file" else data,
         capture_output=True,
-        env={**os.environ, "PYTHONIOENCODING": "utf-8"},
+        env=cli_env({**os.environ, "PYTHONIOENCODING": "utf-8"}),
         timeout=300,
     )
     assert (done.returncode, done.stdout, done.stderr) == (0, b"ok: 5x5 grid, 1 component\n", b"")
@@ -630,7 +631,7 @@ def test_failed_write_to_stdout_is_one_error_line(monkeypatch, capsys, tmp_path,
 def _validate_into(stdout) -> subprocess.Popen:
     # Buffered stdout, as by default: Python flushes it once more at exit,
     # and that flush must not fail and print "Exception ignored" either.
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env = cli_env({k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"})
     cmd = [sys.executable, "-m", "gridfloer", "validate", str(GRIDS_DIR / "corpus.grids")]
     return subprocess.Popen(cmd, stdout=stdout, stderr=subprocess.PIPE, text=True, env=env)
 
@@ -649,7 +650,7 @@ def test_full_device_on_stdout_exits_one_without_traceback():
 @pytest.mark.parametrize("verb", [[], ["homology"]], ids=["top", "homology"])
 def test_help_to_a_full_device_exits_one_without_traceback(verb, unbuffered):
     # Buffered, the help fails in the flush; unbuffered, in the write itself.
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env = cli_env({k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"})
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
     cmd = [sys.executable, "-m", "gridfloer", *verb, "--help"]

@@ -84,6 +84,16 @@ def test_commute_shared_endpoint_is_illegal():
         apply_move(G, GridMove(MoveKind.COMMUTE_COLUMNS, 0))
 
 
+def test_illegal_row_commutes_are_refused_by_name():
+    # Trefoil rows 1 and 2 have O/X column spans (1,4) and (0,2): interleaved.
+    with pytest.raises(IllegalMove) as err:
+        apply_move(TREFOIL5, GridMove(MoveKind.COMMUTE_ROWS, 1))
+    assert str(err.value) == "rows 1 and 2 interleave or share an endpoint"
+    with pytest.raises(IllegalMove) as err:
+        apply_move(TREFOIL5, GridMove(MoveKind.COMMUTE_ROWS, 7))
+    assert str(err.value) == "row 7 out of range 0..4"
+
+
 def test_commute_rows_mirrors_columns():
     rng = random.Random(3)
     for _ in range(30):

@@ -73,6 +73,16 @@ def test_one_run_builds_each_source_and_term_list_once(monkeypatch):
     assert Counter(x for x, _ in terms) == gens
     # Every (generator, rectangle) pair is still validated and indexed.
     assert len(domains) == len(indexed) == 120 * 20
+    # Sampled sources are swept and built once each too; a middle generator
+    # that is not a source is swept each time it is met.
+    rects.clear()
+    terms.clear()
+    sources, _ = verify._sources(TWIST7)
+    assert all(r.passed for r in run_checks(TWIST7))
+    assert Counter(x for _, x in rects) == Counter(sources)
+    swept = Counter(x for x, _ in terms)
+    assert {x: swept[x] for x in sources} == dict.fromkeys(sources, 1)
+    assert swept.keys() > set(sources)
 
 
 def _index_three_on_one_empty_rectangle(monkeypatch) -> list:
