@@ -21,7 +21,9 @@ both gradings are sums of per-point weights plus constants:
 M(x) = #{c < d : x[c] < x[d]} + sum_c wm[c][x[c]] + const.
 ``_grading_tables`` builds the two n-by-n weight tables and both constants
 in one O(n^2) pass per grid, and it is the only code that counts markings:
-grading a single generator and the enumeration both read its tables.
+grading a single generator and the enumeration both read its tables, the
+first from a bounded per-grid memo (``bigrading`` is called once per
+generator), the second built once per walk.
 ``_reduced`` shifts them by one maximum-weight assignment so that every 2A
 weight is <= 0 and the constant is the exact top.  The enumeration carries
 both gradings along a depth-first search over the columns on those
@@ -72,7 +74,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, inf
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .grid import GridDiagram
 
@@ -93,8 +95,16 @@ __all__ = [
 ]
 
 Generator = tuple[int, ...]
-# (wm, wa, const_m, const_a), as built by ``_grading_tables``.
-GradingTables = tuple[list[list[int]], list[list[int]], int, int]
+# (wm, wa, const_m, const_a), as built by ``_grading_tables``: lists of
+# lists, or tuples of tuples where a memo shares them.
+GradingTables = tuple[Sequence[Sequence[int]], Sequence[Sequence[int]], int, int]
+
+# Entries each per-shape memo keeps, here and in ``domains``: room for every
+# rectangle shape (c1, r1, width, height) of an n-by-n grid through n = 10,
+# n^2 (n - 1)^2 = 8,100 of them.
+_MEMO_SIZE = 8_192
+# Grids whose grading tables ``bigrading`` keeps, a few KB each at n = 10.
+_GRID_MEMO_SIZE = 256
 
 
 def generators(G: GridDiagram) -> Iterator[Generator]:
@@ -144,6 +154,18 @@ def _grading_tables(G: GridDiagram) -> GradingTables:
     return wm, wa, ioo + 1, ioo - ixx - (n - 1)
 
 
+@functools.lru_cache(maxsize=_GRID_MEMO_SIZE)
+def _shared_grading_tables(G: GridDiagram) -> GradingTables:
+    """``_grading_tables(G)`` as tuples, built once per grid for ``bigrading``.
+
+    A caller grading many generators one call at a time would otherwise
+    rebuild them on every call.  Tuples, because every caller shares them.
+    The walks build their own with ``_grading_tables``, once per walk.
+    """
+    wm, wa, const_m, const_a = _grading_tables(G)
+    return tuple(map(tuple, wm)), tuple(map(tuple, wa)), const_m, const_a
+
+
 def _grade(perm: Generator, tables: GradingTables) -> tuple[int, int]:
     """(Maslov, doubled Alexander) of one generator from ``_grading_tables``, O(n^2).
 
@@ -169,7 +191,7 @@ def alexander(G: GridDiagram, x: Generator) -> Fraction:
 
 def bigrading(G: GridDiagram, x: Generator) -> tuple[int, Fraction]:
     _check_generator(G, x)
-    m, two_a = _grade(tuple(x), _grading_tables(G))
+    m, two_a = _grade(tuple(x), _shared_grading_tables(G))
     return m, Fraction(two_a, 2)
 
 
@@ -224,12 +246,6 @@ class Rectangle:
                 yield (self.c1 + i) % n, (self.r1 + j) % n
 
 
-# Entries each per-shape memo keeps, here and in ``domains``: room for every
-# rectangle shape (c1, r1, width, height) of an n-by-n grid through n = 10,
-# n^2 (n - 1)^2 = 8,100 of them.
-_MEMO_SIZE = 8_192
-
-
 @functools.lru_cache(maxsize=_MEMO_SIZE)
 def _marking_counts(
     o_rows: tuple[int, ...], x_rows: tuple[int, ...], c1: int, r1: int, w: int, h: int
@@ -253,6 +269,7 @@ def _marking_counts(
 
 
 def _build_rectangle(G: GridDiagram, x: Generator, c1: int, c2: int) -> Rectangle:
+    """The rectangle from the tuple x with corners in columns c1 and c2; x is kept, not copied."""
     n = G.n
     r1, r2 = x[c1], x[c2]
     h = (r2 - r1) % n
@@ -266,7 +283,7 @@ def _build_rectangle(G: GridDiagram, x: Generator, c1: int, c2: int) -> Rectangl
     o_in, x_in = _marking_counts(G.o_rows, G.x_rows, c1, r1, w, h)
     y = list(x)
     y[c1], y[c2] = r2, r1
-    return Rectangle(tuple(x), tuple(y), c1, r1, c2, r2, o_in, x_in, empty)
+    return Rectangle(x, tuple(y), c1, r1, c2, r2, o_in, x_in, empty)
 
 
 def rectangles(G: GridDiagram, x: Generator, y: Generator) -> list[Rectangle]:
@@ -282,6 +299,7 @@ def rectangles(G: GridDiagram, x: Generator, y: Generator) -> list[Rectangle]:
     if len(diff) != 2:
         return []
     a, b = diff
+    x = tuple(x)
     return [_build_rectangle(G, x, a, b), _build_rectangle(G, x, b, a)]
 
 

@@ -420,6 +420,9 @@ def run(argv: list[str] | None = None) -> int:
     except (OSError, UnicodeDecodeError, GridError) as err:
         sys.stderr.write(f"error: {err}\n")
         return 1
+    except MemoryError:
+        sys.stderr.write("error: out of memory reading the input\n")
+        return 1
 
     payloads = [(args.verb, first_line, block, vars(args)) for first_line, block in blocks]
     if args.jobs > 1 and len(payloads) > 1:

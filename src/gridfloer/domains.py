@@ -23,13 +23,18 @@ the four-cell sum around each lattice point, and the sum of all cells.
 rectangle shape recurs across many generators, so those facts are worked
 out once per distinct table and kept in a memo keyed by the table.  Each
 domain looks its table up once, when it is validated, and keeps the facts
-for the index.  A domain then costs one O(n^2) hash of its table (tuples
-do not cache their hash) plus O(n) work against the generator points,
-instead of O(n^2) arithmetic on the table.  ``from_rectangle`` hands back
-one shared table per rectangle shape from a second memo.  Both keep at
-most ``chain._MEMO_SIZE`` = 8,192 entries (least recently used out
-first): room for every rectangle shape of every grid up to n = 10,
-n^2 (n - 1)^2 = 8,100 of them.
+for the index.  ``from_rectangle`` hands back one shared table per
+rectangle shape from a second memo, already an n-by-n tuple of int
+tuples, so its domains, like the sums ``add_domains`` builds, skip the
+copy and the shape check that ``GridDomain`` gives a table from outside; the permutation check and the
+boundary check run on every domain alike.  A domain then costs one hash of
+its table (tuples do not cache their hash), O(n) checks against the
+generator points and O(n) work for the index, instead of O(n^2)
+arithmetic on the table.  Each value of 4·mu comes back as one shared
+``Fraction`` from a third memo, as building one costs about as much as
+the index itself.  All three keep at most ``chain._MEMO_SIZE`` = 8,192
+entries (least recently used out first): room for every rectangle shape
+of every grid up to n = 10, n^2 (n - 1)^2 = 8,100 of them.
 """
 
 from __future__ import annotations
@@ -104,6 +109,49 @@ def _first_defect(defect: dict, source: Generator, target: Generator) -> str:
     return f"boundary defect {residual[c, j]} at lattice point ({c}, {j})"
 
 
+def _check_points(source: Generator, target: Generator) -> None:
+    rows = list(range(len(source)))
+    if sorted(source) != rows or sorted(target) != rows:
+        raise BoundaryMismatch(_NOT_PERMUTATIONS)
+
+
+def _boundary_facts(source: Generator, target: Generator, m: _Table) -> _TableFacts:
+    """The facts of the n-by-n table m, once its boundary is checked to run
+    from source to target.
+
+    The table's defect must be +1 at (c, target[c]) and -1 at
+    (c, source[c]) in each column where the two differ, and 0 elsewhere.
+    """
+    facts = _table_facts(m)
+    defect = facts.defect
+    moved = 0
+    for c, (s, t) in enumerate(zip(source, target)):
+        # 1.0 and True sort like 1, but only an int indexes the table.
+        if type(s) is not int or type(t) is not int:
+            break
+        if s != t:
+            moved += 1
+            if defect.get((c, t)) != 1 or defect.get((c, s)) != -1:
+                break
+    else:
+        if len(defect) == 2 * moved:
+            return facts
+    raise BoundaryMismatch(_first_defect(defect, source, target))
+
+
+def _shaped_domain(source: Generator, target: Generator, m: _Table) -> GridDomain:
+    """``GridDomain(source, target, m)`` for a table built here, already an
+    n-by-n tuple of int tuples: validated alike, but neither copied nor
+    re-shaped."""
+    _check_points(source, target)
+    D = object.__new__(GridDomain)
+    # A frozen dataclass refuses setattr; its __init__ goes around that too.
+    D.__dict__.update(
+        source=source, target=target, multiplicities=m, _facts=_boundary_facts(source, target, m)
+    )
+    return D
+
+
 @dataclass(frozen=True)
 class GridDomain:
     """An integer 2-chain with boundary running from ``source`` to ``target``.
@@ -125,29 +173,10 @@ class GridDomain:
         m = tuple(map(tuple, self.multiplicities))
         object.__setattr__(self, "multiplicities", m)
         n = len(self.source)
-        rows = list(range(n))
-        if sorted(self.source) != rows or sorted(self.target) != rows:
-            raise BoundaryMismatch(_NOT_PERMUTATIONS)
+        _check_points(self.source, self.target)
         if list(map(len, m)) != [n] * n:
             raise BoundaryMismatch(f"multiplicity table must be {n}x{n}")
-        # The table's defect must be +1 at (c, target[c]) and -1 at
-        # (c, source[c]) in each column where the two differ, and 0 elsewhere.
-        facts = _table_facts(m)
-        object.__setattr__(self, "_facts", facts)
-        defect = facts.defect
-        moved = 0
-        for c, (s, t) in enumerate(zip(self.source, self.target)):
-            # 1.0 and True sort like 1, but only an int indexes the table.
-            if type(s) is not int or type(t) is not int:
-                break
-            if s != t:
-                moved += 1
-                if defect.get((c, t)) != 1 or defect.get((c, s)) != -1:
-                    break
-        else:
-            if len(defect) == 2 * moved:
-                return
-        raise BoundaryMismatch(_first_defect(defect, self.source, self.target))
+        object.__setattr__(self, "_facts", _boundary_facts(self.source, self.target, m))
 
     @property
     def n(self) -> int:
@@ -166,11 +195,10 @@ def from_rectangle(rect: Rectangle) -> GridDomain:
 
     Rectangles of one shape share one table, whatever their generators.
     """
-    return GridDomain(
-        rect.source,
-        rect.target,
-        _rectangle_table(rect.n, rect.c1, rect.r1, rect.width, rect.height),
-    )
+    source, c1, r1 = rect.source, rect.c1, rect.r1
+    n = len(source)
+    table = _rectangle_table(n, c1, r1, (rect.c2 - c1) % n, (rect.r2 - r1) % n)
+    return _shaped_domain(source, rect.target, table)
 
 
 def add_domains(first: GridDomain, second: GridDomain) -> GridDomain:
@@ -182,7 +210,7 @@ def add_domains(first: GridDomain, second: GridDomain) -> GridDomain:
         tuple(first.multiplicities[c][r] + second.multiplicities[c][r] for r in range(n))
         for c in range(n)
     )
-    return GridDomain(first.source, second.target, mult)
+    return _shaped_domain(first.source, second.target, mult)
 
 
 # A cell is a square: four corners, each a quarter right angle.
@@ -199,6 +227,13 @@ def _four_total_N(D: GridDomain, facts: _TableFacts) -> int:
     return sum(col[s] + col[t] for col, s, t in zip(facts.four_n, D.source, D.target))
 
 
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _quarter(four: int) -> Fraction:
+    """four / 4, one shared instance per value: building a Fraction costs
+    about as much as summing the index itself."""
+    return Fraction(four, 4)
+
+
 def euler_measure(D: GridDomain) -> Fraction:
     """Euler measure e(D).
 
@@ -207,13 +242,13 @@ def euler_measure(D: GridDomain) -> Fraction:
     grid domain.  Computed, not assumed, so the index formula below reads as
     written.
     """
-    return Fraction(_four_euler(D._facts), 4)
+    return _quarter(_four_euler(D._facts))
 
 
 def point_multiplicity(D: GridDomain, c: int, r: int) -> Fraction:
     """Average multiplicity n_p of the four cells around lattice point (c, r)."""
     n = D.n
-    return Fraction(D._facts.four_n[c % n][r % n], 4)
+    return _quarter(D._facts.four_n[c % n][r % n])
 
 
 def vertex_multiplicity(D: GridDomain, point: tuple[int, int]) -> Fraction:
@@ -234,7 +269,7 @@ def total_N(D: GridDomain) -> Fraction:
 
     Points shared by both generators count twice, once per generator.
     """
-    return Fraction(_four_total_N(D, D._facts), 4)
+    return _quarter(_four_total_N(D, D._facts))
 
 
 def maslov_index(D: GridDomain) -> Fraction:
@@ -245,4 +280,4 @@ def maslov_index(D: GridDomain) -> Fraction:
     source copy and the target copy).
     """
     facts = D._facts
-    return Fraction(_four_euler(facts) + _four_total_N(D, facts), 4)
+    return _quarter(_four_euler(facts) + _four_total_N(D, facts))

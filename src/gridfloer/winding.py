@@ -3,11 +3,15 @@
 This route never touches the chain complex: it builds the matrix whose
 (c, r) entry is q raised to the winding number of the link around the
 lattice point (c, r), takes its determinant by fraction-free (Bareiss)
-elimination over Z[q], and divides by (1 - q)^(n-1).  It exists to
-cross-check the homological computation, so it deliberately shares no
-machinery with it beyond the grid type and the one-variable polynomial
-helpers.  Its cost is polynomial in n: O(n^3) products of polynomials of
-degree O(n^2).
+elimination, and divides by (1 - q)^(n-1).  It exists to cross-check the
+homological computation, so it deliberately shares no machinery with it
+beyond the grid type and the one-variable polynomial helpers.
+
+The elimination runs on integers, not on polynomials: on the matrix
+evaluated at q = 2^B, with B large enough that each of the polynomials it
+holds reads back from its value (``winding_determinant``).  Its cost is
+polynomial in n: O(n^3) products of integers of O(n^3 log n) bits, whose
+digits are the O(n^2) coefficients of a polynomial.
 """
 
 from __future__ import annotations
@@ -17,10 +21,6 @@ from .grid import GridDiagram, link_summary
 from .laurent import divide_by_one_minus_var, symmetric_normalized
 
 __all__ = ["winding_matrix", "winding_determinant", "alexander_via_determinant"]
-
-# Polynomials in q as coefficient lists, lowest degree first, with no
-# trailing zeros; the zero polynomial is the empty list.
-Poly = list[int]
 
 
 def winding_matrix(G: GridDiagram) -> list[list[int]]:
@@ -54,67 +54,31 @@ def _parity(perm: tuple[int, ...]) -> int:
     return inversions & 1
 
 
-def _monomial(e: int) -> Poly:
-    return [0] * e + [1]
-
-
-def _mul(a: Poly, b: Poly) -> Poly:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b, i):
-                out[j] += x * y
-    return out
-
-
-def _sub(a: Poly, b: Poly) -> Poly:
-    out = a + [0] * (len(b) - len(a))
-    for i, y in enumerate(b):
-        out[i] -= y
-    while out and not out[-1]:
-        out.pop()
-    return out
-
-
-def _div_exact(a: Poly, b: Poly) -> Poly:
-    """a / b in Z[q] for a nonzero b; raises NotDivisible on a remainder."""
-    if not a:
-        return []
-    rem = list(a)
-    lead = b[-1]
-    top = len(b) - 1
-    quot = [0] * (len(a) - top)
-    for k in range(len(quot) - 1, -1, -1):
-        c, r = divmod(rem[k + top], lead)
-        if r:
-            raise NotDivisible("inexact division in the Bareiss elimination")
-        if c:
-            quot[k] = c
-            for j, y in enumerate(b, k):
-                rem[j] -= c * y
-    if any(rem[:top]):
-        raise NotDivisible("remainder in the Bareiss elimination")
-    return quot
-
-
 def winding_determinant(G: GridDiagram) -> dict[int, int]:
     """det(q^{w[c][r]}) as exponent -> coefficient, before any division.
 
-    Each matrix row c is divided by q^(min_r w[c][r]) so every entry is a
-    polynomial, the determinant of that matrix is taken by Bareiss
-    fraction-free elimination (every division exact, so coefficients stay
-    integers), and the result is multiplied back by q^(sum of the row
-    minima).  A zero pivot is swapped with a lower row; the sign comes from
-    the parity of the final row order.
+    Each matrix row c is divided by q^(min_r w[c][r]), so every entry is a
+    monomial q^e with e >= 0, and the result is multiplied back by
+    q^(sum of the row minima).  Every minor of that matrix is a signed sum
+    of one monomial per permutation, so its coefficients are at most n! in
+    absolute value.  Bareiss fraction-free elimination holds only such
+    minors, so it runs on integers: on the matrix at q = 2^B, with
+    2^(B-1) > n!.  There a minor is zero exactly when it is the zero
+    polynomial, so the same pivots are swapped, and every division stays
+    exact, as it is in Z[q].  The determinant's coefficients are then the
+    digits of its value in signed base 2^B.  A zero pivot is swapped with a
+    lower row; the sign comes from the parity of the final row order.
     """
     w = winding_matrix(G)
     n = G.n
+    count = 1
+    for k in range(2, n + 1):
+        count *= k
+    bits = count.bit_length() + 1  # B, so that 2^(B-1) > n!
     shifts = [min(row) for row in w]
-    m = [[_monomial(e - s) for e in row] for row, s in zip(w, shifts)]
+    m = [[1 << (bits * (e - s)) for e in row] for row, s in zip(w, shifts)]
     order = list(range(n))
-    prev: Poly = [1]
+    prev = 1
     for k in range(n - 1):
         if not m[k][k]:
             swap = next((i for i in range(k + 1, n) if m[i][k]), None)
@@ -128,14 +92,24 @@ def winding_determinant(G: GridDiagram) -> dict[int, int]:
             row = m[i]
             factor = row[k]
             for j in range(k + 1, n):
-                row[j] = _div_exact(
-                    _sub(_mul(row[j], pivot), _mul(factor, pivot_row[j])), prev
-                )
+                row[j], rest = divmod(row[j] * pivot - factor * pivot_row[j], prev)
+                if rest:
+                    raise NotDivisible("inexact division in the Bareiss elimination")
         prev = pivot
-    det = m[n - 1][n - 1]
+    value = m[n - 1][n - 1]
     sign = -1 if _parity(tuple(order)) else 1
-    base = sum(shifts)
-    return {base + e: sign * c for e, c in enumerate(det) if c}
+    det = {}
+    e = sum(shifts)
+    radix, half = 1 << bits, 1 << (bits - 1)
+    while value:
+        digit = value & (radix - 1)
+        if digit >= half:
+            digit -= radix
+        if digit:
+            det[e] = sign * digit
+        value = (value - digit) >> bits
+        e += 1
+    return det
 
 
 def alexander_via_determinant(G: GridDiagram) -> dict[int, int]:

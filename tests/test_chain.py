@@ -13,6 +13,7 @@ import pytest
 from gridfloer import (
     alexander,
     bigrading,
+    chain,
     empty_rectangles,
     generator_count,
     generators,
@@ -97,6 +98,29 @@ def test_grading_tables_match_the_oracle_on_larger_grids():
         for _ in range(5):
             x = tuple(rng.sample(range(n), n))
             assert bigrading(G, x) == oracle_bigrading(G, x), (G, x)
+
+
+def test_bigrading_builds_each_grids_tables_once_and_shares_them_read_only(monkeypatch):
+    built = []
+
+    def grading_tables(G):
+        built.append(G)
+        return _grading_tables(G)
+
+    chain._shared_grading_tables.cache_clear()
+    monkeypatch.setattr(chain, "_grading_tables", grading_tables)
+    try:
+        for G in (TREFOIL5, FIG8_6, TREFOIL5):
+            for x in itertools.permutations(range(G.n)):
+                assert bigrading(G, x) == oracle_bigrading(G, x)
+        assert built == [TREFOIL5, FIG8_6]
+        wm, wa, _, _ = chain._shared_grading_tables(TREFOIL5)
+        assert type(wm) is type(wa) is tuple
+        assert all(type(col) is tuple for col in (*wm, *wa))
+        info = chain._shared_grading_tables.cache_info()
+        assert info.maxsize == chain._GRID_MEMO_SIZE and info.currsize == 2
+    finally:
+        chain._shared_grading_tables.cache_clear()
 
 
 def _oracle_levels(G) -> list[tuple[int, dict[int, list[tuple[int, ...]]]]]:

@@ -177,6 +177,16 @@ def test_memory_error_while_parsing_is_refused_in_stream(monkeypatch):
     assert (code, lines) == (1, ["error: MemoryError: out of memory on this grid under --max-n 10"])
 
 
+def test_memory_error_while_reading_the_input_is_one_error_line(monkeypatch, capsys):
+    # Like a file that cannot be read: one line on stderr, exit 1, no traceback.
+    def out_of_memory(path):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "_read_text", out_of_memory)
+    assert cli.run(["genus", str(GRIDS_DIR / "trefoil5.grid")]) == 1
+    assert capsys.readouterr() == ("", "error: out of memory reading the input\n")
+
+
 class _FirstWriteRunsOutOfMemory(io.StringIO):
     """A stdout whose first write raises MemoryError and writes nothing."""
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -69,6 +70,46 @@ def test_domain_rejects_points_that_are_not_ints(source):
             GridDomain(*points, zeros)
         with pytest.raises(BoundaryMismatch, match="permutations"):
             oracle_check_domain(*points, zeros)
+
+
+def test_from_rectangle_validates_like_grid_domain():
+    # from_rectangle skips the copy and the shape check of its own table,
+    # never the permutation check or the boundary check: hand-built
+    # rectangles with one fault each are refused as GridDomain refuses them.
+    rng = random.Random(35)
+    x = tuple(rng.sample(range(5), 5))
+    good = next(r for r in rectangles_from(TREFOIL5, x) if r.width < 4)
+    c1 = good.c1
+    other = next(c for c in range(5) if c not in (c1, good.c2))
+    repeated, floated, crossed = list(x), list(x), list(x)
+    repeated[other] = x[c1]
+    floated[c1] = float(x[c1])
+    crossed[c1], crossed[other] = x[other], x[c1]
+    faults = [
+        (replace(good, source=tuple(repeated)), "permutations"),
+        (replace(good, source=tuple(floated), r1=float(good.r1)), "permutations"),
+        (replace(good, target=tuple(crossed)), "boundary defect"),
+    ]
+    table = from_rectangle(good).multiplicities
+    for rect, message in faults:
+        with pytest.raises(BoundaryMismatch) as want:
+            GridDomain(rect.source, rect.target, table)
+        with pytest.raises(BoundaryMismatch, match=message) as got:
+            from_rectangle(rect)
+        assert str(got.value) == str(want.value)
+
+
+def test_each_index_value_is_one_shared_fraction():
+    rng = random.Random(36)
+    G = random_grid(6, rng)
+    seen = {}
+    for _ in range(20):
+        x = tuple(rng.sample(range(G.n), G.n))
+        for r in rectangles_from(G, x):
+            mu = maslov_index(from_rectangle(r))
+            assert (mu == 1) == r.empty
+            assert seen.setdefault(mu, mu) is mu
+    assert Fraction(1) in seen and len(seen) > 1
 
 
 def test_domain_rejects_boundary_defects():
