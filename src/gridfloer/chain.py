@@ -19,21 +19,22 @@ Every pair that involves a marking involves one generator point only, so
 both gradings are sums of per-point weights plus constants:
 2A(x) = sum_c wa[c][x[c]] + const and
 M(x) = #{c < d : x[c] < x[d]} + sum_c wm[c][x[c]] + const.
-``_grading_tables`` builds the two n-by-n weight tables and both constants
-in one O(n^2) pass per grid, and it is the only code that counts markings:
-grading a single generator and the enumeration both read its tables, the
-first from a bounded per-grid memo (``bigrading`` is called once per
-generator), the second built once per walk.
-``_reduced`` shifts them by one maximum-weight assignment so that every 2A
-weight is <= 0 and the constant is the exact top.  The enumeration carries
-both gradings along a depth-first search over the columns on those
-weights, so grading costs O(1) amortized per generator, and it cuts off
-every partial generator whose 2A weights already sum below a floor.  It
-also keeps, per walk, a dict ``dead`` keyed by the bitmask of the rows a
-prefix uses: the largest partial 2A weight at which the search below such
-a prefix reached no generator.  A later prefix with the same rows and no
-more weight is skipped.  The skip is exact, because the columns still to
-fill and the rows free for them depend on that row set alone.
+``_point_weights`` fills the two n-by-n weight tables and both constants
+in one O(n^2) pass, and it is the only code that counts markings.
+``_grading_tables`` shifts them by one maximum-weight assignment, so that
+every 2A weight is <= 0 and the constant is the exact top, and keeps the
+result per grid in a bounded memo.  It is the one source of grading
+tables: grading a single generator (``bigrading`` is called once per
+generator), every walk and ``verify`` read it, so each grid's tables are
+filled and its assignment solved once.  The enumeration carries both
+gradings along a depth-first search over the columns on those weights, so
+grading costs O(1) amortized per generator, and it cuts off every partial
+generator whose 2A weights already sum below a floor.  It also keeps, per
+walk, a dict ``dead`` keyed by the bitmask of the rows a prefix uses: the
+largest partial 2A weight at which the search below such a prefix reached
+no generator.  A later prefix with the same rows and no more weight is
+skipped.  The skip is exact, because the columns still to fill and the
+rows free for them depend on that row set alone.
 
 The differentials count empty rectangles: embedded rectangles on the torus
 whose lower-left and upper-right corners are points of the source generator,
@@ -74,7 +75,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, inf
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .grid import GridDiagram
 
@@ -95,15 +96,14 @@ __all__ = [
 ]
 
 Generator = tuple[int, ...]
-# (wm, wa, const_m, const_a), as built by ``_grading_tables``: lists of
-# lists, or tuples of tuples where a memo shares them.
-GradingTables = tuple[Sequence[Sequence[int]], Sequence[Sequence[int]], int, int]
+# (wm, wa, const_m, const_a), as ``_grading_tables`` shares them.
+GradingTables = tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...], int, int]
 
 # Entries each per-shape memo keeps, here and in ``domains``: room for every
 # rectangle shape (c1, r1, width, height) of an n-by-n grid through n = 10,
 # n^2 (n - 1)^2 = 8,100 of them.
 _MEMO_SIZE = 8_192
-# Grids whose grading tables ``bigrading`` keeps, a few KB each at n = 10.
+# Grids whose grading tables ``_grading_tables`` keeps, a few KB each at n = 10.
 _GRID_MEMO_SIZE = 256
 
 
@@ -121,7 +121,7 @@ def _check_generator(G: GridDiagram, x: Generator) -> None:
         raise ValueError(f"{x!r} is not a permutation of 0..{G.n - 1}")
 
 
-def _grading_tables(G: GridDiagram) -> GradingTables:
+def _point_weights(G: GridDiagram) -> tuple[list[list[int]], list[list[int]], int, int]:
     """(wm, wa, const_m, const_a): the per-point weights and constants of M and 2A.
 
     wm[c][r] and wa[c][r] are what the point (c, r) adds to M and to 2A
@@ -155,15 +155,53 @@ def _grading_tables(G: GridDiagram) -> GradingTables:
 
 
 @functools.lru_cache(maxsize=_GRID_MEMO_SIZE)
-def _shared_grading_tables(G: GridDiagram) -> GradingTables:
-    """``_grading_tables(G)`` as tuples, built once per grid for ``bigrading``.
+def _grading_tables(G: GridDiagram) -> GradingTables:
+    """``_point_weights(G)`` on 2A weights <= 0, with const_a the exact top 2A.
 
-    A caller grading many generators one call at a time would otherwise
-    rebuild them on every call.  Tuples, because every caller shares them.
-    The walks build their own with ``_grading_tables``, once per walk.
+    2A(x) - const_a = sum_c wa[c][x[c]] is the weight of an assignment of
+    rows to columns, so the top 2A is a maximum-weight assignment.  The
+    Hungarian method (Kuhn, 1955) finds one by shortest augmenting paths in
+    O(n^3), with potentials u[c] + v[r] >= wa[c][r], equal on the
+    assignment; u starts at each column's best weight.  Every generator
+    takes each u[c] and v[r] once, so wa - u - v and const_a + sum(u) +
+    sum(v) grade it alike.
+
+    Kept per grid as tuples, because every caller shares them: grading one
+    generator at a time, each walk and ``verify`` read the same tables.
     """
-    wm, wa, const_m, const_a = _grading_tables(G)
-    return tuple(map(tuple, wm)), tuple(map(tuple, wa)), const_m, const_a
+    wm, wa, const_m, const_a = _point_weights(G)
+    n = len(wa)
+    u = [max(col) for col in wa]
+    v = [0] * (n + 1)  # v[n] belongs to the root of each search
+    owner = [-1] * (n + 1)  # the column holding each row; -1 while free
+    for c in range(n):
+        # Grow a tree of tight edges from column c, Dijkstra-style on the
+        # slacks u + v - wa, until it reaches a free row; then flip the path.
+        owner[n], r = c, n
+        slack, via, done = [inf] * (n + 1), [n] * n, [False] * n + [True]
+        while owner[r] >= 0:
+            at, col, delta = r, owner[r], inf
+            for s in range(n):
+                if not done[s]:
+                    gap = u[col] + v[s] - wa[col][s]
+                    if gap < slack[s]:
+                        slack[s], via[s] = gap, at
+                    if slack[s] < delta:
+                        delta, r = slack[s], s
+            for s in range(n + 1):
+                if done[s]:
+                    u[owner[s]] -= delta
+                    v[s] += delta
+                else:
+                    slack[s] -= delta
+            done[r] = True
+        while r != n:
+            owner[r] = owner[via[r]]
+            r = via[r]
+    reduced = tuple(
+        tuple(w - u[c] - v[r] for r, w in enumerate(col)) for c, col in enumerate(wa)
+    )
+    return tuple(map(tuple, wm)), reduced, const_m, const_a + sum(u) + sum(v[:n])
 
 
 def _grade(perm: Generator, tables: GradingTables) -> tuple[int, int]:
@@ -191,7 +229,7 @@ def alexander(G: GridDiagram, x: Generator) -> Fraction:
 
 def bigrading(G: GridDiagram, x: Generator) -> tuple[int, Fraction]:
     _check_generator(G, x)
-    m, two_a = _grade(tuple(x), _shared_grading_tables(G))
+    m, two_a = _grade(tuple(x), _grading_tables(G))
     return m, Fraction(two_a, 2)
 
 
@@ -445,7 +483,7 @@ def minus_differential(G: GridDiagram) -> Iterator[MinusTerm]:
     consumer's business to cancel them mod 2.
     """
     table = _SweepTable(G)
-    for perm in itertools.permutations(range(G.n)):
+    for perm in generators(G):
         for target, exps in _minus_terms_from(perm, table):
             yield MinusTerm(perm, target, exps)
 
@@ -483,59 +521,15 @@ def tilde_targets(G: GridDiagram, x: Generator) -> list[Generator]:
 # -- bucketed enumeration ----------------------------------------------------
 
 
-def _reduced(tables: GradingTables) -> GradingTables:
-    """The same gradings on 2A weights <= 0, with const_a the exact top 2A.
-
-    2A(x) - const_a = sum_c wa[c][x[c]] is the weight of an assignment of
-    rows to columns, so the top 2A is a maximum-weight assignment.  The
-    Hungarian method (Kuhn, 1955) finds one by shortest augmenting paths in
-    O(n^3), with potentials u[c] + v[r] >= wa[c][r], equal on the
-    assignment; u starts at each column's best weight.  Every generator
-    takes each u[c] and v[r] once, so wa - u - v and const_a + sum(u) +
-    sum(v) grade it alike.
-    """
-    wm, wa, const_m, const_a = tables
-    n = len(wa)
-    u = [max(col) for col in wa]
-    v = [0] * (n + 1)  # v[n] belongs to the root of each search
-    owner = [-1] * (n + 1)  # the column holding each row; -1 while free
-    for c in range(n):
-        # Grow a tree of tight edges from column c, Dijkstra-style on the
-        # slacks u + v - wa, until it reaches a free row; then flip the path.
-        owner[n], r = c, n
-        slack, via, done = [inf] * (n + 1), [n] * n, [False] * n + [True]
-        while owner[r] >= 0:
-            at, col, delta = r, owner[r], inf
-            for s in range(n):
-                if not done[s]:
-                    gap = u[col] + v[s] - wa[col][s]
-                    if gap < slack[s]:
-                        slack[s], via[s] = gap, at
-                    if slack[s] < delta:
-                        delta, r = slack[s], s
-            for s in range(n + 1):
-                if done[s]:
-                    u[owner[s]] -= delta
-                    v[s] += delta
-                else:
-                    slack[s] -= delta
-            done[r] = True
-        while r != n:
-            owner[r] = owner[via[r]]
-            r = via[r]
-    reduced = [[w - u[c] - v[r] for r, w in enumerate(col)] for c, col in enumerate(wa)]
-    return wm, reduced, const_m, const_a + sum(u) + sum(v[:n])
-
-
 def iter_alexander_levels(
-    G: GridDiagram, min_two_a: int | None = None, tables: GradingTables | None = None
+    G: GridDiagram, min_two_a: int | None = None
 ) -> Iterator[tuple[int, dict[int, list[Generator]]]]:
     """Yield (doubled Alexander grading, {Maslov: generators}).
 
     Levels come in increasing Alexander order; within a level, generators
     are in lexicographic order.  ``min_two_a`` keeps only the levels with
-    2A >= min_two_a; None keeps all n!.  ``tables``, built here when None,
-    is ``_reduced(_grading_tables(G))``, for a walk to build once.
+    2A >= min_two_a; None keeps all n!.  The weights are the grid's
+    ``_grading_tables``, built and solved once per grid.
 
     A depth-first search fixes columns left to right, trying rows in
     increasing order, so generators come in lexicographic order.  M and 2A
@@ -556,7 +550,7 @@ def iter_alexander_levels(
     empty.
     """
     n = G.n
-    wm, wa, const_m, top = _reduced(_grading_tables(G)) if tables is None else tables
+    wm, wa, const_m, top = _grading_tables(G)
     # With no floor given, the lowest column weights let every generator through.
     floor = sum(map(min, wa)) if min_two_a is None else min_two_a - top
     buckets: dict[int, dict[int, list[Generator]]] = {}

@@ -18,7 +18,14 @@ __all__ = [
 
 
 class GridError(Exception):
-    """Base class for every error raised by this package."""
+    """Base of the errors the CLI reports in-stream for one grid.
+
+    Its subclasses other than ``NotDivisible`` are invalid input, exit 1;
+    ``NotDivisible`` is the internal alarm, exit 2.  Not every error of the
+    package is one: a library call given a bad generator, rank table, count
+    or polynomial raises ``ValueError``, and a walk that finds an
+    inconsistent differential raises ``ArithmeticError``.
+    """
 
 
 class TooSmall(GridError):

@@ -31,7 +31,6 @@ from .chain import (
     Generator,
     _SweepTable,
     _grading_tables,
-    _reduced,
     _tilde_target_codes,
     iter_alexander_levels,
 )
@@ -237,16 +236,17 @@ def top_alexander_level(G: GridDiagram) -> tuple[Fraction, dict[int, int]]:
     """(s, {Maslov: rank}) at the highest Alexander level s with nonzero homology.
 
     The differential preserves A, so levels are ranked one at a time, each
-    once, from the exact top generator level that ``_reduced`` gives, and
-    the walk stops at the first with homology.  Each round lowers the floor
-    on 2A by 2 and ranks the lowest level enumerated if it is the floor.
+    once, from the exact top generator level, the constant of the grid's
+    ``_grading_tables``, and the walk stops at the first with homology.
+    Each round lowers the floor on 2A by 2 and ranks the lowest level
+    enumerated if it is the floor.
     For an l-component link the walk returns by 2A = 1 - l, the center of
     the symmetric hat homology; it gives up at the lowest 2A possible.
     """
     table = _SweepTable(G, collapsed=True)
-    _, wa, _, top = tables = _reduced(_grading_tables(G))
+    _, wa, _, top = _grading_tables(G)
     for floor in range(top, top + sum(map(min, wa)) - 1, -2):
-        two_a, levels = next(iter_alexander_levels(G, floor, tables))
+        two_a, levels = next(iter_alexander_levels(G, floor))
         if two_a == floor:
             ranks = _level_ranks(table, two_a, levels)
             if ranks:

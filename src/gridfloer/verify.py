@@ -11,7 +11,6 @@ it with the internal-alarm exit code.
 from __future__ import annotations
 
 import functools
-import itertools
 import random
 from dataclasses import dataclass
 
@@ -21,6 +20,7 @@ from .chain import (
     _grading_tables,
     _minus_terms_from,
     _tilde_target_codes,
+    generators,
     rectangles_from,
 )
 from .domains import from_rectangle, maslov_index
@@ -46,7 +46,7 @@ class CheckResult:
 
 def _sources(G: GridDiagram) -> tuple[list[tuple[int, ...]], str]:
     if G.n <= EXHAUSTIVE_LIMIT:
-        return list(itertools.permutations(range(G.n))), "all generators"
+        return list(generators(G)), "all generators"
     # Draw until SAMPLE_SIZE are distinct, keeping each at its first draw:
     # a repeated source would count its composites twice in the XOR set of
     # minus_d_squared, and they would cancel.

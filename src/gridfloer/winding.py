@@ -16,6 +16,8 @@ digits are the O(n^2) coefficients of a polynomial.
 
 from __future__ import annotations
 
+from math import factorial
+
 from .errors import NotAKnot, NotDivisible
 from .grid import GridDiagram, link_summary
 from .laurent import divide_by_one_minus_var, symmetric_normalized
@@ -71,10 +73,7 @@ def winding_determinant(G: GridDiagram) -> dict[int, int]:
     """
     w = winding_matrix(G)
     n = G.n
-    count = 1
-    for k in range(2, n + 1):
-        count *= k
-    bits = count.bit_length() + 1  # B, so that 2^(B-1) > n!
+    bits = factorial(n).bit_length() + 1  # B, so that 2^(B-1) > n!
     shifts = [min(row) for row in w]
     m = [[1 << (bits * (e - s)) for e in row] for row, s in zip(w, shifts)]
     order = list(range(n))

@@ -32,9 +32,11 @@ from gridfloer.chain import (
     _grade,
     _grading_tables,
     _minus_terms_from,
-    _reduced,
+    _point_weights,
     iter_alexander_levels,
 )
+from gridfloer.homology import hfk_hat, homology_ranks, top_alexander_level
+from gridfloer.verify import run_checks
 
 from .helpers import (
     FIG8_6,
@@ -101,26 +103,32 @@ def test_grading_tables_match_the_oracle_on_larger_grids():
 
 
 def test_bigrading_builds_each_grids_tables_once_and_shares_them_read_only(monkeypatch):
+    # Grading one generator at a time, every walk and verify read one memo,
+    # so a grid's weights are filled once however many of them run.
     built = []
 
-    def grading_tables(G):
+    def point_weights(G):
         built.append(G)
-        return _grading_tables(G)
+        return _point_weights(G)
 
-    chain._shared_grading_tables.cache_clear()
-    monkeypatch.setattr(chain, "_grading_tables", grading_tables)
+    _grading_tables.cache_clear()
+    monkeypatch.setattr(chain, "_point_weights", point_weights)
     try:
         for G in (TREFOIL5, FIG8_6, TREFOIL5):
             for x in itertools.permutations(range(G.n)):
                 assert bigrading(G, x) == oracle_bigrading(G, x)
+        top_alexander_level(TREFOIL5)
+        hfk_hat(TREFOIL5)
+        homology_ranks(TREFOIL5)
+        assert all(result.passed for result in run_checks(TREFOIL5))
         assert built == [TREFOIL5, FIG8_6]
-        wm, wa, _, _ = chain._shared_grading_tables(TREFOIL5)
+        wm, wa, _, _ = _grading_tables(TREFOIL5)
         assert type(wm) is type(wa) is tuple
         assert all(type(col) is tuple for col in (*wm, *wa))
-        info = chain._shared_grading_tables.cache_info()
+        info = _grading_tables.cache_info()
         assert info.maxsize == chain._GRID_MEMO_SIZE and info.currsize == 2
     finally:
-        chain._shared_grading_tables.cache_clear()
+        _grading_tables.cache_clear()
 
 
 def _oracle_levels(G) -> list[tuple[int, dict[int, list[tuple[int, ...]]]]]:
@@ -153,7 +161,7 @@ def test_min_two_a_keeps_exactly_the_levels_at_or_above_it():
     grids += [random_grid(n, rng) for n in (2, 3, 4, 5, 6)]
     for G in grids:
         full = _levels(G)
-        assert _reduced(_grading_tables(G))[3] == full[-1][0], G
+        assert _grading_tables(G)[3] == full[-1][0], G
         for floor in range(full[0][0] - 3, full[-1][0] + 4):
             assert _levels(G, floor) == [lv for lv in full if lv[0] >= floor], (G, floor)
         assert _levels(G, full[-1][0] + 1) == []
@@ -181,9 +189,9 @@ def test_reduced_tables_are_exact_against_brute_force():
     grids = [HOPF4, LINK3_7] + [random_grid(rng.randint(2, 7), rng) for _ in range(60)]
     grids += [random_knot_grid(n, rng) for n in (5, 6, 7)]
     for G in grids:
-        tables = _grading_tables(G)
-        reduced = _reduced(tables)
-        assert reduced[0] is tables[0] and reduced[2] == tables[2], G
+        tables = _point_weights(G)
+        reduced = _grading_tables(G)
+        assert reduced[0] == tuple(map(tuple, tables[0])) and reduced[2] == tables[2], G
         assert all(w <= 0 for col in reduced[1] for w in col), G
         grades = [_grade(x, tables) for x in itertools.permutations(range(G.n))]
         assert [_grade(x, reduced) for x in itertools.permutations(range(G.n))] == grades, G

@@ -162,4 +162,4 @@ def test_determinant_route_shares_no_code_with_the_homology_route():
     tree = ast.parse(Path(winding.__file__).read_text(encoding="utf-8"))
     imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
     imported |= {a.name for node in ast.walk(tree) if isinstance(node, ast.Import) for a in node.names}
-    assert imported <= {"__future__", "errors", "grid", "laurent"}
+    assert imported <= {"__future__", "math", "errors", "grid", "laurent"}
