@@ -57,8 +57,11 @@ tracks only the generator's own points.  The full differential sweeps a
 table that stops only at X markings.  The collapsed one sweeps a collapsed
 table, which treats every O as an X, so the kernel yields only the
 marking-free rectangles and its sweeps end at the first marking of either
-kind.  ``rectangles_from`` builds each rectangle separately, cell by cell,
-and serves as the public API and as the independent check on the kernel.
+kind.  ``tilde_targets`` answers one generator at a time, so it reads the
+grid's collapsed table from a per-grid memo, ``_collapsed_table``: a
+caller that asks for every generator fills one table.
+``rectangles_from`` builds each rectangle separately, cell by cell, and
+serves as the public API and as the independent check on the kernel.
 The markings a rectangle covers depend on the grid and its shape only, so
 ``_marking_counts`` counts them once per shape and keeps them in a bounded
 memo; the full differential takes each term's exponents, the O markings
@@ -72,7 +75,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from math import factorial, inf
 from typing import Iterator
@@ -103,7 +106,8 @@ GradingTables = tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...], 
 # rectangle shape (c1, r1, width, height) of an n-by-n grid through n = 10,
 # n^2 (n - 1)^2 = 8,100 of them.
 _MEMO_SIZE = 8_192
-# Grids whose grading tables ``_grading_tables`` keeps, a few KB each at n = 10.
+# Grids whose grading tables ``_grading_tables`` and whose collapsed sweep
+# tables ``_collapsed_table`` keep, a few KB each at n = 10.
 _GRID_MEMO_SIZE = 256
 
 
@@ -284,6 +288,22 @@ class Rectangle:
                 yield (self.c1 + i) % n, (self.r1 + j) % n
 
 
+# The slot descriptors of Rectangle's fields: setting a slot through its
+# descriptor bypasses the frozen __setattr__, as the dataclass __init__ does.
+_new_rectangle = object.__new__
+(
+    _set_source,
+    _set_target,
+    _set_c1,
+    _set_r1,
+    _set_c2,
+    _set_r2,
+    _set_o_count,
+    _set_x_count,
+    _set_empty,
+) = (Rectangle.__dict__[f.name].__set__ for f in fields(Rectangle))
+
+
 @functools.lru_cache(maxsize=_MEMO_SIZE)
 def _marking_counts(
     o_rows: tuple[int, ...], x_rows: tuple[int, ...], c1: int, r1: int, w: int, h: int
@@ -321,7 +341,18 @@ def _build_rectangle(G: GridDiagram, x: Generator, c1: int, c2: int) -> Rectangl
     o_in, x_in = _marking_counts(G.o_rows, G.x_rows, c1, r1, w, h)
     y = list(x)
     y[c1], y[c2] = r2, r1
-    return Rectangle(x, tuple(y), c1, r1, c2, r2, o_in, x_in, empty)
+    # Rectangle(...) as through its __init__, less its nine object.__setattr__ calls.
+    rect = _new_rectangle(Rectangle)
+    _set_source(rect, x)
+    _set_target(rect, tuple(y))
+    _set_c1(rect, c1)
+    _set_r1(rect, r1)
+    _set_c2(rect, c2)
+    _set_r2(rect, r2)
+    _set_o_count(rect, o_in)
+    _set_x_count(rect, x_in)
+    _set_empty(rect, empty)
+    return rect
 
 
 def rectangles(G: GridDiagram, x: Generator, y: Generator) -> list[Rectangle]:
@@ -503,6 +534,13 @@ def _tilde_target_codes(perm: Generator, table: _SweepTable) -> list[Generator]:
     return out
 
 
+@functools.lru_cache(maxsize=_GRID_MEMO_SIZE)
+def _collapsed_table(G: GridDiagram) -> _SweepTable:
+    """The grid's collapsed ``_SweepTable``, shared by every ``tilde_targets``
+    call on it: a caller that asks generator by generator fills it once."""
+    return _SweepTable(G, collapsed=True)
+
+
 def tilde_targets(G: GridDiagram, x: Generator) -> list[Generator]:
     """Targets of the differential with all U_c set to 0, from generator x.
 
@@ -513,7 +551,7 @@ def tilde_targets(G: GridDiagram, x: Generator) -> list[Generator]:
     _check_generator(G, x)
     x = tuple(x)
     hits: set[Generator] = set()
-    for y in _tilde_target_codes(x, _SweepTable(G, collapsed=True)):
+    for y in _tilde_target_codes(x, _collapsed_table(G)):
         hits ^= {y}
     return sorted(hits)
 

@@ -21,20 +21,27 @@ alone: where its boundary fails to close up along the horizontal circles,
 the four-cell sum around each lattice point, and the sum of all cells.
 ``verify`` builds one domain per (generator, rectangle) pair, and each
 rectangle shape recurs across many generators, so those facts are worked
-out once per distinct table and kept in a memo keyed by the table.  Each
-domain looks its table up once, when it is validated, and keeps the facts
-for the index.  ``from_rectangle`` hands back one shared table per
-rectangle shape from a second memo, already an n-by-n tuple of int
-tuples, so its domains, like the sums ``add_domains`` builds, skip the
-copy and the shape check that ``GridDomain`` gives a table from outside; the permutation check and the
-boundary check run on every domain alike.  A domain then costs one hash of
-its table (tuples do not cache their hash), O(n) checks against the
-generator points and O(n) work for the index, instead of O(n^2)
-arithmetic on the table.  Each value of 4·mu comes back as one shared
-``Fraction`` from a third memo, as building one costs about as much as
-the index itself.  All three keep at most ``chain._MEMO_SIZE`` = 8,192
-entries (least recently used out first): room for every rectangle shape
-of every grid up to n = 10, n^2 (n - 1)^2 = 8,100 of them.
+out once per table and kept in a memo.  ``GridDomain`` and ``add_domains``
+look their table up in ``_table_facts``, keyed by the table.
+``from_rectangle`` hashes no table: ``_rectangle_shape``, keyed by the
+shape (n, c1, r1, width, height), hands back the shape's table, an n-by-n
+tuple of int tuples, with its facts.  So a rectangle's domain hashes five
+ints, and like the sums ``add_domains`` builds it skips the copy and the
+shape check that ``GridDomain`` gives a table from outside.  Each domain
+looks its table up once, when it is validated, and keeps the facts for
+the index.
+
+Validation is O(n) per domain.  The source must be a permutation; the
+boundary check then compares the target with the source moved as the
+table's facts say, after checking that every point is an int.  A target
+that passes is a permutation too, since each row's defects sum to zero,
+so only a failing one is sorted, to tell a non-permutation from a
+boundary defect.  ``maslov_index`` sums 4·mu in one pass over the columns.
+Each value of 4·mu comes back as one shared ``Fraction`` from a third
+memo, as building one costs about as much as the index itself.  All
+three keep at most ``chain._MEMO_SIZE`` = 8,192 entries (least recently
+used out first): room for every rectangle shape of every grid up to
+n = 10, n^2 (n - 1)^2 = 8,100 of them.
 """
 
 from __future__ import annotations
@@ -61,25 +68,29 @@ __all__ = [
 _Table = tuple[tuple[int, ...], ...]
 
 _NOT_PERMUTATIONS = "source and target must be permutations of 0..n-1"
+_INT = frozenset({int})
 
 
 class _TableFacts(NamedTuple):
     """What a multiplicity table fixes on its own, whatever the generators.
 
     ``defect[(c, j)]`` is the boundary coefficient the table leaves at
-    lattice point (c, j), for the points where it is not zero.
-    ``four_n[c][r]`` is 4·n_p at (c, r), the sum of the four cells around
-    it.  ``cells`` is the sum of all multiplicities.  Every domain on the
-    table shares one instance, so ``defect`` is read only.
+    lattice point (c, j), for the points where it is not zero.  ``moves``
+    holds (c, from_row, to_row) for each column whose defect is -1 at
+    from_row and +1 at to_row and nothing else, when every column with a
+    defect is such a column, and is None otherwise.  ``four_n[c][r]`` is
+    4·n_p at (c, r), the sum of the four cells around it.  ``cells`` is the
+    sum of all multiplicities.  Every domain on the table shares one
+    instance, so ``defect`` is read only.
     """
 
     defect: dict[tuple[int, int], int]
+    moves: tuple[tuple[int, int, int], ...] | None
     four_n: _Table
     cells: int
 
 
-@functools.lru_cache(maxsize=_MEMO_SIZE)
-def _table_facts(m: _Table) -> _TableFacts:
+def _count_facts(m: _Table) -> _TableFacts:
     # The net boundary coefficient on the horizontal segment (c,j)->(c+1,j)
     # is g[c][j] = m[c][j] - m[c][j-1]; at lattice point (c, j) the segments
     # ending and starting there leave g[c-1][j] - g[c][j].  Negative indices
@@ -93,7 +104,17 @@ def _table_facts(m: _Table) -> _TableFacts:
                 defect[c, j] = a - b
         pair = [a + b for a, b in zip(here, left)]
         four_n.append(tuple(a + b for a, b in zip(pair, pair[-1:] + pair[:-1])))
-    return _TableFacts(defect, tuple(four_n), sum(map(sum, m)))
+    # A column's defects sum to zero, so when all of them are -1 or +1 and
+    # no column holds two of one sign, each column holds one of each.
+    starts = {c: j for (c, j), d in defect.items() if d == -1}
+    ends = {c: j for (c, j), d in defect.items() if d == 1}
+    moves = None
+    if len(starts) + len(ends) == len(defect):
+        moves = tuple((c, j, ends[c]) for c, j in starts.items())
+    return _TableFacts(defect, moves, tuple(four_n), sum(map(sum, m)))
+
+
+_table_facts = functools.lru_cache(maxsize=_MEMO_SIZE)(_count_facts)
 
 
 def _first_defect(defect: dict, source: Generator, target: Generator) -> str:
@@ -115,39 +136,53 @@ def _check_points(source: Generator, target: Generator) -> None:
         raise BoundaryMismatch(_NOT_PERMUTATIONS)
 
 
-def _boundary_facts(source: Generator, target: Generator, m: _Table) -> _TableFacts:
-    """The facts of the n-by-n table m, once its boundary is checked to run
-    from source to target.
+def _boundary_facts(
+    source: Generator, target: Generator, facts: _TableFacts
+) -> _TableFacts:
+    """``facts``, once the boundary of their n-by-n table is checked to run
+    from source to target, a permutation.
 
     The table's defect must be +1 at (c, target[c]) and -1 at
-    (c, source[c]) in each column where the two differ, and 0 elsewhere.
+    (c, source[c]) in each column where the two differ, and 0 elsewhere:
+    the target is the source with each of the table's ``moves`` made.  A
+    target that passes is a permutation too (see ``_shaped_domain``); one
+    that fails is sorted, so that a non-permutation is refused as such.
     """
-    facts = _table_facts(m)
-    defect = facts.defect
-    moved = 0
-    for c, (s, t) in enumerate(zip(source, target)):
-        # 1.0 and True sort like 1, but only an int indexes the table.
-        if type(s) is not int or type(t) is not int:
-            break
-        if s != t:
-            moved += 1
-            if defect.get((c, t)) != 1 or defect.get((c, s)) != -1:
+    moves = facts.moves
+    # 1.0 and True compare like 1, but only an int indexes the table.
+    if moves is not None and {*map(type, source), *map(type, target)} <= _INT:
+        expected = [*source]
+        for c, s, t in moves:
+            if expected[c] != s:
                 break
-    else:
-        if len(defect) == 2 * moved:
-            return facts
-    raise BoundaryMismatch(_first_defect(defect, source, target))
-
-
-def _shaped_domain(source: Generator, target: Generator, m: _Table) -> GridDomain:
-    """``GridDomain(source, target, m)`` for a table built here, already an
-    n-by-n tuple of int tuples: validated alike, but neither copied nor
-    re-shaped."""
+            expected[c] = t
+        else:
+            if expected == [*target]:
+                return facts
     _check_points(source, target)
+    raise BoundaryMismatch(_first_defect(facts.defect, source, target))
+
+
+def _shaped_domain(
+    source: Generator, target: Generator, m: _Table, facts: _TableFacts
+) -> GridDomain:
+    """``GridDomain(source, target, m)`` for a table built here, already an
+    n-by-n tuple of int tuples with ``facts`` its ``_TableFacts``: validated
+    alike, but neither copied, re-shaped nor looked up again.
+
+    Only the source is sorted.  A target that passes the boundary check is
+    a permutation too: on the torus the defects of each row sum to zero,
+    so every row holds as many target points as source points, one.
+    """
+    if sorted(source) != list(range(len(source))):
+        raise BoundaryMismatch(_NOT_PERMUTATIONS)
     D = object.__new__(GridDomain)
     # A frozen dataclass refuses setattr; its __init__ goes around that too.
     D.__dict__.update(
-        source=source, target=target, multiplicities=m, _facts=_boundary_facts(source, target, m)
+        source=source,
+        target=target,
+        multiplicities=m,
+        _facts=_boundary_facts(source, target, facts),
     )
     return D
 
@@ -176,7 +211,8 @@ class GridDomain:
         _check_points(self.source, self.target)
         if list(map(len, m)) != [n] * n:
             raise BoundaryMismatch(f"multiplicity table must be {n}x{n}")
-        object.__setattr__(self, "_facts", _boundary_facts(self.source, self.target, m))
+        facts = _boundary_facts(self.source, self.target, _table_facts(m))
+        object.__setattr__(self, "_facts", facts)
 
     @property
     def n(self) -> int:
@@ -184,21 +220,26 @@ class GridDomain:
 
 
 @functools.lru_cache(maxsize=_MEMO_SIZE)
-def _rectangle_table(n: int, c1: int, r1: int, width: int, height: int) -> _Table:
+def _rectangle_shape(
+    n: int, c1: int, r1: int, width: int, height: int
+) -> tuple[_Table, _TableFacts]:
+    """The table of the rectangle shape and its facts, kept per shape."""
     inside = tuple(int((r - r1) % n < height) for r in range(n))
     outside = (0,) * n
-    return tuple(inside if (c - c1) % n < width else outside for c in range(n))
+    m = tuple(inside if (c - c1) % n < width else outside for c in range(n))
+    return m, _count_facts(m)
 
 
 def from_rectangle(rect: Rectangle) -> GridDomain:
     """The domain of multiplicity one on a rectangle's cells.
 
-    Rectangles of one shape share one table, whatever their generators.
+    Rectangles of one shape share one table and its facts, whatever their
+    generators.
     """
     source, c1, r1 = rect.source, rect.c1, rect.r1
     n = len(source)
-    table = _rectangle_table(n, c1, r1, (rect.c2 - c1) % n, (rect.r2 - r1) % n)
-    return _shaped_domain(source, rect.target, table)
+    m, facts = _rectangle_shape(n, c1, r1, (rect.c2 - c1) % n, (rect.r2 - r1) % n)
+    return _shaped_domain(source, rect.target, m, facts)
 
 
 def add_domains(first: GridDomain, second: GridDomain) -> GridDomain:
@@ -210,7 +251,7 @@ def add_domains(first: GridDomain, second: GridDomain) -> GridDomain:
         tuple(first.multiplicities[c][r] + second.multiplicities[c][r] for r in range(n))
         for c in range(n)
     )
-    return _shaped_domain(first.source, second.target, mult)
+    return _shaped_domain(first.source, second.target, mult, _table_facts(mult))
 
 
 # A cell is a square: four corners, each a quarter right angle.
@@ -280,4 +321,8 @@ def maslov_index(D: GridDomain) -> Fraction:
     source copy and the target copy).
     """
     facts = D._facts
-    return _quarter(_four_euler(facts) + _four_total_N(D, facts))
+    # 4·e(D) and then 4·N(D) in one pass: verify calls this once per pair.
+    four = (4 - _CORNERS_PER_CELL) * facts.cells
+    for col, s, t in zip(facts.four_n, D.source, D.target):
+        four += col[s] + col[t]
+    return _quarter(four)

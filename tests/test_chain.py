@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import itertools
+import pickle
 import random
 from collections import Counter
 from fractions import Fraction
@@ -11,6 +13,7 @@ from fractions import Fraction
 import pytest
 
 from gridfloer import (
+    Rectangle,
     alexander,
     bigrading,
     chain,
@@ -26,6 +29,7 @@ from gridfloer import (
     tilde_targets,
 )
 from gridfloer.chain import (
+    _collapsed_table,
     _empty_rectangle_sweep,
     _marking_counts,
     _SweepTable,
@@ -253,6 +257,44 @@ def test_rectangle_pair_is_complementary():
             assert (r.source[r.c1], r.source[r.c2]) == (r.r1, r.r2)
 
 
+def test_built_rectangles_are_the_constructors_rectangles():
+    # rectangles_from sets each Rectangle's slots directly; the result must
+    # be what Rectangle(...) builds from the same fields, field by field.
+    for G in (TREFOIL5, random_grid(7, random.Random(29))):
+        n = G.n
+        pairs = [(c1, c2) for c1 in range(n) for c2 in range(n) if c1 != c2]
+        for x in generators(G):
+            built = list(rectangles_from(G, x))
+            assert len(built) == len(pairs)
+            for (c1, c2), got in zip(pairs, built):
+                r1, r2 = x[c1], x[c2]
+                w, h = (c2 - c1) % n, (r2 - r1) % n
+                y = list(x)
+                y[c1], y[c2] = r2, r1
+                inside = [(x[(c1 + k) % n] - r1) % n for k in range(1, w)]
+                want = Rectangle(
+                    x,
+                    tuple(y),
+                    c1,
+                    r1,
+                    c2,
+                    r2,
+                    *_marking_counts(G.o_rows, G.x_rows, c1, r1, w, h),
+                    not any(0 < d < h for d in inside),
+                )
+                assert got == want
+                assert hash(got) == hash(want)
+                assert repr(got) == repr(want)
+    assert pickle.loads(pickle.dumps(got)) == got
+    flipped = dataclasses.replace(got, empty=not got.empty)
+    assert type(flipped) is Rectangle and flipped.empty != got.empty
+    assert dataclasses.astuple(flipped)[:-1] == dataclasses.astuple(got)[:-1]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        got.c1 = 0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del got.empty
+
+
 def test_memoised_marking_counts_match_a_cell_by_cell_recount():
     # Every shape (c1, r1, width, height) of a seeded random grid per size,
     # wrapping ones included, reached from two generators each: the first
@@ -363,6 +405,23 @@ def test_tilde_targets_cancel_even_rectangle_counts():
     assert len(pair) == 2
     assert all(r.o_total == 0 and r.x_total == 0 for r in pair)
     assert y not in tilde_targets(G, x)
+
+
+def test_tilde_targets_share_one_collapsed_table_per_grid():
+    # Asking generator by generator fills the grid's collapsed table once,
+    # and the memo of tables is bounded like the grading tables'.
+    _collapsed_table.cache_clear()
+    try:
+        for G in (TREFOIL5, FIG8_6, TREFOIL5):
+            for x in generators(G):
+                tilde_targets(G, x)
+        info = _collapsed_table.cache_info()
+        assert (info.misses, info.currsize) == (2, 2)
+        assert info.maxsize == chain._GRID_MEMO_SIZE
+        table = _collapsed_table(TREFOIL5)
+        assert table.collapsed and all(None not in row for row in table.steps)
+    finally:
+        _collapsed_table.cache_clear()
 
 
 def test_tilde_targets_match_rectangle_enumeration():

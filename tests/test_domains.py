@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
@@ -97,6 +98,57 @@ def test_from_rectangle_validates_like_grid_domain():
         with pytest.raises(BoundaryMismatch, match=message) as got:
             from_rectangle(rect)
         assert str(got.value) == str(want.value)
+
+
+def _verdict(build):
+    """None if build() accepts its domain, else the BoundaryMismatch message."""
+    try:
+        build()
+    except BoundaryMismatch as err:
+        return str(err)
+    return None
+
+
+def test_from_rectangle_refuses_targets_as_grid_domain_does():
+    # from_rectangle sorts only the source and lets the boundary check vouch
+    # for the target.  Every rectangle shape's table, degenerate ones with
+    # width or height 0 included, against every source permutation: all
+    # targets in range(n)^n at n = 2 and 3 and a sample at n = 4, then
+    # targets one point short or long and targets with a float or bool.
+    rng = random.Random(37)
+    base = next(rectangles_from(TREFOIL5, tuple(range(5))))
+    verdicts = Counter()
+    for n in (2, 3, 4):
+        perms = list(itertools.permutations(range(n)))
+        targets = list(itertools.product(range(n), repeat=n))
+        for c1, r1, w, h in itertools.product(range(n), repeat=4):
+            m = tuple(
+                tuple(int((c - c1) % n < w and (r - r1) % n < h) for r in range(n))
+                for c in range(n)
+            )
+            for x in perms:
+                rect = replace(base, source=x, c1=c1, r1=r1, c2=(c1 + w) % n, r2=(r1 + h) % n)
+                moved = list(x)
+                moved[c1], moved[(c1 + w) % n] = x[(c1 + w) % n], x[c1]
+                odd = [
+                    x[:-1],
+                    (*x, 0),
+                    tuple(moved[:-1]),
+                    (*moved, n),
+                    (float(moved[0]), *moved[1:]),
+                    (*moved[:-1], bool(moved[-1] % 2)),
+                    (*x[:-1], float(x[-1])),
+                ]
+                pool = targets if n < 4 else rng.sample(targets, 12) + [tuple(moved)]
+                for y in pool + odd:
+                    got = _verdict(lambda: from_rectangle(replace(rect, target=y)))
+                    want = _verdict(lambda: GridDomain(x, y, m))
+                    oracle = _verdict(lambda: oracle_check_domain(x, y, m))
+                    assert got == want == oracle, (x, y, m)
+                    verdicts[got] += 1
+    assert verdicts[None] > 1000
+    assert verdicts["source and target must be permutations of 0..n-1"] > 10_000
+    assert sum(k for message, k in verdicts.items() if "defect" in str(message)) > 10_000
 
 
 def test_each_index_value_is_one_shared_fraction():
@@ -372,31 +424,35 @@ def test_one_table_validates_against_many_generator_pairs():
 
 
 def test_each_domain_looks_up_its_table_once():
-    # Validation looks the table up; the index functions read the facts the
-    # domain keeps, so one domain costs one lookup however much it is read.
+    # Validation looks the table up once: a rectangle's domain in the shape
+    # memo, any other domain in _table_facts.  The index functions read the
+    # facts the domain keeps, so one domain costs one lookup however much it
+    # is read.
     rng = random.Random(45)
-    info = domains._table_facts.cache_info()
-    before = info.hits + info.misses
-    built = 0
+
+    def lookups():
+        memos = (domains._rectangle_shape, domains._table_facts)
+        return tuple(m.cache_info().hits + m.cache_info().misses for m in memos)
+
+    shapes, tables = lookups()
     for _ in range(40):
         G = random_grid(rng.randint(2, 6), rng)
         x = tuple(rng.sample(range(G.n), G.n))
         for r in rectangles_from(G, x):
             D = from_rectangle(r)
-            built += 1
+            shapes += 1
             maslov_index(D)
             total_N(D)
             euler_measure(D)
             point_multiplicity(D, r.c1, r.r1)
             vertex_multiplicity(D, (r.c2, r.r2))
-            info = domains._table_facts.cache_info()
-            assert info.hits + info.misses == before + built
+            assert lookups() == (shapes, tables)
         zero = GridDomain(r.target, r.target, ((0,) * G.n,) * G.n)
         D = add_domains(from_rectangle(r), zero)
-        built += 3
+        shapes += 1
+        tables += 2
         maslov_index(D)
-        info = domains._table_facts.cache_info()
-        assert info.hits + info.misses == before + built
+        assert lookups() == (shapes, tables)
 
 
 def _periodic_table(rng: random.Random, n: int):
@@ -469,13 +525,17 @@ def test_memos_stay_within_their_bounds():
                 x = tuple((a * c + b) % n for c in range(n))
                 for r in rectangles_from(G, x):
                     shapes.add((r.c1, r.r1, r.width, r.height))
-                    assert (maslov_index(from_rectangle(r)) == 1) == r.empty
+                    D = from_rectangle(r)
+                    assert (maslov_index(D) == 1) == r.empty
+                    # The same table from outside goes through _table_facts.
+                    outside = GridDomain(x, r.target, D.multiplicities)
+                    assert maslov_index(outside) == maslov_index(D)
         assert len(shapes) == n * n * (n - 1) ** 2
-        for memo in (domains._table_facts, domains._rectangle_table, chain._marking_counts):
+        for memo in (domains._table_facts, domains._rectangle_shape, chain._marking_counts):
             info = memo.cache_info()
             assert info.maxsize == chain._MEMO_SIZE < len(shapes)
             assert info.currsize <= chain._MEMO_SIZE
     finally:
         domains._table_facts.cache_clear()
-        domains._rectangle_table.cache_clear()
+        domains._rectangle_shape.cache_clear()
         chain._marking_counts.cache_clear()
