@@ -71,6 +71,8 @@ def _check_minus_d_squared(terms: dict, table: _SweepTable, scope: str) -> Check
             for z, e2 in terms[y] if y in terms else _minus_terms_from(y, table):
                 count += 1
                 key = (x, z, tuple(a + b for a, b in zip(e1, e2)))
+                # One hash of the key: a membership test and then discard
+                # or add hash it twice, which is slower than this set.
                 odd ^= {key}
     if odd:
         x, z, exps = sorted(odd)[0]

@@ -22,6 +22,7 @@ from gridfloer import (
     point_multiplicity,
     random_grid,
     rectangles_from,
+    run_checks,
     total_N,
     vertex_multiplicity,
 )
@@ -29,6 +30,7 @@ from gridfloer.errors import BoundaryMismatch, PointNotCorner
 
 from .helpers import (
     TREFOIL5,
+    TWIST7,
     all_grids,
     oracle_check_domain,
     oracle_euler_measure,
@@ -453,6 +455,58 @@ def test_each_domain_looks_up_its_table_once():
         tables += 2
         maslov_index(D)
         assert lookups() == (shapes, tables)
+
+
+def _assert_translated_facts_are_derived(n, c1, r1, w, h):
+    m, facts = domains._rectangle_shape(n, c1, r1, w, h)
+    assert m == tuple(
+        tuple(int((c - c1) % n < w and (r - r1) % n < h) for r in range(n))
+        for c in range(n)
+    ), (n, c1, r1, w, h)
+    derived = domains._count_facts(m)
+    assert facts.defect == derived.defect, (n, c1, r1, w, h)
+    assert facts.four_n == derived.four_n, (n, c1, r1, w, h)
+    assert facts.cells == derived.cells, (n, c1, r1, w, h)
+    # Moves touch distinct columns, so their order does not matter.
+    if derived.moves is None:
+        assert facts.moves is None, (n, c1, r1, w, h)
+    else:
+        assert sorted(facts.moves) == sorted(derived.moves), (n, c1, r1, w, h)
+
+
+def test_translated_facts_equal_derived_facts():
+    # A shape's facts are the anchored shape's facts moved along the torus;
+    # they must be what the shape's own table implies.  Every shape, width
+    # or height 0 included, for n = 2..6, and a sample for n = 7..11.
+    for n in range(2, 7):
+        for c1, r1, w, h in itertools.product(range(n), repeat=4):
+            _assert_translated_facts_are_derived(n, c1, r1, w, h)
+    rng = random.Random(46)
+    for n in range(7, 12):
+        for _ in range(300):
+            _assert_translated_facts_are_derived(n, *(rng.randrange(n) for _ in range(4)))
+
+
+def test_verify_derives_facts_once_per_anchored_shape(monkeypatch):
+    # Facts are derived once per (n, width, height) and moved to each of
+    # the n^2 anchors, so a run at n = 7 derives at most (n - 1)^2 tables.
+    derived = []
+    real = domains._count_facts
+
+    def spy(m):
+        derived.append(m)
+        return real(m)
+
+    memos = (domains._rectangle_shape, domains._anchored_facts)
+    try:
+        for memo in memos:
+            memo.cache_clear()
+        monkeypatch.setattr(domains, "_count_facts", spy)
+        assert all(r.passed for r in run_checks(TWIST7))
+        assert 0 < len(derived) <= (TWIST7.n - 1) ** 2
+    finally:
+        for memo in memos:
+            memo.cache_clear()
 
 
 def _periodic_table(rng: random.Random, n: int):

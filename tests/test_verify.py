@@ -85,6 +85,32 @@ def test_one_run_builds_each_source_and_term_list_once(monkeypatch):
     assert swept.keys() > set(sources)
 
 
+def test_an_odd_composite_is_reported_first_in_sorted_order():
+    # Drop one term of one source: the composites through it lose their
+    # partners.  The reported one is the least (x, z, exponents) whose
+    # count is odd, counted here independently of the check's set.
+    table = chain._SweepTable(TREFOIL5)
+    terms = {
+        x: chain._minus_terms_from(x, table)
+        for x in itertools.permutations(range(5))
+    }
+    x0 = next(x for x, x_terms in terms.items() if len(x_terms) > 1)
+    terms[x0] = terms[x0][1:]
+    counts = Counter(
+        (x, z, tuple(a + b for a, b in zip(e1, e2)))
+        for x, x_terms in terms.items()
+        for y, e1 in x_terms
+        for z, e2 in terms[y]
+    )
+    x, z, exps = min(key for key, k in counts.items() if k % 2)
+    result = verify._check_minus_d_squared(terms, table, "all generators")
+    assert result == verify.CheckResult(
+        "minus_d_squared",
+        False,
+        f"odd composite count from {x} to {z} with exponents {exps}",
+    )
+
+
 def _index_three_on_one_empty_rectangle(monkeypatch) -> list:
     """Make ``verify`` read index 3 on the first empty rectangle it checks.
 
