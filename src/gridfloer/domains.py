@@ -17,31 +17,33 @@ four cells around each.  It is computed as that integer and divided by 4
 once, in the ``Fraction`` each public function returns.
 
 Everything but the generator points is fixed by the multiplicity table
-alone: where its boundary fails to close up along the horizontal circles,
+alone: how its boundary moves the points along the horizontal circles,
 the four-cell sum around each lattice point, and the sum of all cells.
-``verify`` builds one domain per (generator, rectangle) pair, and each
-rectangle shape recurs across many generators, so those facts are worked
-out once per table and kept in a memo.  ``GridDomain`` and ``add_domains``
-look their table up in ``_table_facts``, keyed by the table.
-``from_rectangle`` hashes no table: ``_rectangle_shape``, keyed by the
-shape (n, c1, r1, width, height), hands back the shape's table, an n-by-n
-tuple of int tuples, with its facts.  So a rectangle's domain hashes five
-ints, and like the sums ``add_domains`` builds it skips the copy and the
-shape check that ``GridDomain`` gives a table from outside.  Each domain
-looks its table up once, when it is validated, and keeps the facts for
-the index.
+``_count_facts`` works those facts out of a table, and a domain keeps
+them from its validation on, for the index.  ``GridDomain`` and
+``add_domains`` derive them from the domain's own table.  ``verify``
+builds one domain per (generator, rectangle) pair, and each rectangle
+shape recurs across many generators, so ``from_rectangle`` hashes no
+table: ``_rectangle_shape``, keyed by the shape (n, c1, r1, width,
+height), hands back the shape's table, an n-by-n tuple of int tuples,
+with its facts.  So a rectangle's domain hashes five ints, and like the
+sums ``add_domains`` builds it skips the copy and the checks of shape
+and entries that ``GridDomain`` gives a table from outside.
 
 A shape's facts are not read off its own table.  Every rectangle shape of
 one (n, width, height) is the one anchored at (c1, r1) = (0, 0) moved along
-the torus, so ``_anchored_facts`` has ``_count_facts`` derive the anchored
-table's facts once and ``_rectangle_shape`` moves them: lattice points
-shift by (c1, r1) mod n, the four-cell sums turn by c1 columns and r1 rows,
-and the sum of the cells stays.  ``_count_facts`` is still the only code
-that reads facts off a table, so the index stays what the table implies.
-A fresh process fills all n^2 (n - 1)^2 shapes in 3.4 ms at n = 5, 15 ms
-at n = 7 and 0.10 s at n = 10, against 9.5 ms, 57 ms and 0.40 s when
-each shape's facts were derived from its own table (best of 5,
-interleaved, 2-core Xeon, Python 3.11.7).
+the torus, so the anchored shape has ``_count_facts`` derive its facts and
+every other shape looks the anchored shape up in the same memo and moves
+them: lattice points shift by (c1, r1) mod n, the four-cell sums turn by
+c1 columns and r1 rows, and the sum of the cells stays.  ``_count_facts``
+is still the only code that reads facts off a table, so the index stays
+what the table implies.  Where a boundary fails to close up is worked
+out from the table only when a domain is refused, to word the refusal;
+no shape keeps it.  A fresh process fills all n^2 (n - 1)^2 shapes in
+2.9 ms at n = 5, 12 ms at n = 7 and 70 ms at n = 10, against 3.3 ms,
+15 ms and 93 ms when each shape also moved a defect map (best of 5,
+interleaved, 2-core Xeon, Python 3.11.7), and 9.5 ms, 57 ms and 0.40 s
+when each shape's facts were derived from its own table.
 
 Validation is O(n) per domain.  The source must be a permutation; the
 boundary check then compares the target with the source moved as the
@@ -49,12 +51,11 @@ table's facts say, after checking that every point is an int.  A target
 that passes is a permutation too, since each row's defects sum to zero,
 so only a failing one is sorted, to tell a non-permutation from a
 boundary defect.  ``maslov_index`` sums 4·mu in one pass over the columns.
-Each value of 4·mu comes back as one shared ``Fraction`` from a fourth
-memo, as building one costs about as much as the index itself.  All
-four keep at most ``chain._MEMO_SIZE`` = 8,192 entries (least recently
-used out first): room for every rectangle shape of every grid up to
-n = 10, n^2 (n - 1)^2 = 8,100 of them.  The anchored facts take at most
-n^2 of them per n.
+Each value of 4·mu comes back as one shared ``Fraction`` from a second
+memo, as building one costs about as much as the index itself.  Both
+keep at most ``chain._MEMO_SIZE`` = 8,192 entries (least recently used
+out first): room for every rectangle shape of every grid up to n = 10,
+n^2 (n - 1)^2 = 8,100 of them.
 """
 
 from __future__ import annotations
@@ -87,34 +88,38 @@ _INT = frozenset({int})
 class _TableFacts(NamedTuple):
     """What a multiplicity table fixes on its own, whatever the generators.
 
-    ``defect[(c, j)]`` is the boundary coefficient the table leaves at
-    lattice point (c, j), for the points where it is not zero.  ``moves``
-    holds (c, from_row, to_row) for each column whose defect is -1 at
-    from_row and +1 at to_row and nothing else, when every column with a
-    defect is such a column, and is None otherwise.  ``four_n[c][r]`` is
-    4·n_p at (c, r), the sum of the four cells around it.  ``cells`` is the
-    sum of all multiplicities.  Every domain on the table shares one
-    instance, so ``defect`` is read only.
+    ``moves`` holds (c, from_row, to_row) for each column whose boundary
+    defect (see ``_defects``) is -1 at from_row and +1 at to_row and
+    nothing else, when every column with a defect is such a column, and is
+    None otherwise.  ``four_n[c][r]`` is 4·n_p at (c, r), the sum of the
+    four cells around it.  ``cells`` is the sum of all multiplicities.
     """
 
-    defect: dict[tuple[int, int], int]
     moves: tuple[tuple[int, int, int], ...] | None
     four_n: _Table
     cells: int
 
 
-def _count_facts(m: _Table) -> _TableFacts:
+def _defects(m: _Table) -> dict[tuple[int, int], int]:
+    """The boundary coefficient the table leaves at each lattice point
+    (c, j) where it is not zero."""
     # The net boundary coefficient on the horizontal segment (c,j)->(c+1,j)
     # is g[c][j] = m[c][j] - m[c][j-1]; at lattice point (c, j) the segments
     # ending and starting there leave g[c-1][j] - g[c][j].  Negative indices
     # wrap around the torus.
     g = [[a - b for a, b in zip(col, col[-1:] + col[:-1])] for col in m]
-    defect = {}
+    return {
+        (c, j): a - b
+        for c in range(len(m))
+        for j, (a, b) in enumerate(zip(g[c - 1], g[c]))
+        if a != b
+    }
+
+
+def _count_facts(m: _Table) -> _TableFacts:
+    defect = _defects(m)
     four_n = []
-    for c, (here, left) in enumerate(zip(m, m[-1:] + m[:-1])):
-        for j, (a, b) in enumerate(zip(g[c - 1], g[c])):
-            if a != b:
-                defect[c, j] = a - b
+    for here, left in zip(m, m[-1:] + m[:-1]):
         pair = [a + b for a, b in zip(here, left)]
         four_n.append(tuple(a + b for a, b in zip(pair, pair[-1:] + pair[:-1])))
     # A column's defects sum to zero, so when all of them are -1 or +1 and
@@ -124,18 +129,15 @@ def _count_facts(m: _Table) -> _TableFacts:
     moves = None
     if len(starts) + len(ends) == len(defect):
         moves = tuple((c, j, ends[c]) for c, j in starts.items())
-    return _TableFacts(defect, moves, tuple(four_n), sum(map(sum, m)))
+    return _TableFacts(moves, tuple(four_n), sum(map(sum, m)))
 
 
-_table_facts = functools.lru_cache(maxsize=_MEMO_SIZE)(_count_facts)
-
-
-def _first_defect(defect: dict, source: Generator, target: Generator) -> str:
+def _first_defect(m: _Table, source: Generator, target: Generator) -> str:
     """The mismatch of a rejected domain: a point that is not an int, else its
     first defect in row-major order."""
     if any(type(p) is not int for p in (*source, *target)):
         return _NOT_PERMUTATIONS
-    residual = dict(defect)
+    residual = _defects(m)
     for c, (s, t) in enumerate(zip(source, target)):
         residual[c, t] = residual.get((c, t), 0) - 1
         residual[c, s] = residual.get((c, s), 0) + 1
@@ -150,10 +152,10 @@ def _check_points(source: Generator, target: Generator) -> None:
 
 
 def _boundary_facts(
-    source: Generator, target: Generator, facts: _TableFacts
+    source: Generator, target: Generator, m: _Table, facts: _TableFacts
 ) -> _TableFacts:
-    """``facts``, once the boundary of their n-by-n table is checked to run
-    from source to target, a permutation.
+    """``facts``, once the boundary of their n-by-n table ``m`` is checked
+    to run from source to target, a permutation.
 
     The table's defect must be +1 at (c, target[c]) and -1 at
     (c, source[c]) in each column where the two differ, and 0 elsewhere:
@@ -173,7 +175,7 @@ def _boundary_facts(
             if expected == [*target]:
                 return facts
     _check_points(source, target)
-    raise BoundaryMismatch(_first_defect(facts.defect, source, target))
+    raise BoundaryMismatch(_first_defect(m, source, target))
 
 
 def _shaped_domain(
@@ -195,7 +197,7 @@ def _shaped_domain(
         source=source,
         target=target,
         multiplicities=m,
-        _facts=_boundary_facts(source, target, facts),
+        _facts=_boundary_facts(source, target, m, facts),
     )
     return D
 
@@ -207,9 +209,10 @@ class GridDomain:
     ``multiplicities[c][r]`` is the coefficient of the cell whose lower-left
     lattice corner is (c, r).  Negative coefficients are allowed.  Validated
     on construction: ``source`` and ``target`` must be permutations of the
-    ints 0..n-1, and along each horizontal circle the boundary segments must
-    begin at points of ``source`` and end at points of ``target``.  The
-    table's ``_TableFacts``, looked up once for that, stay on the domain.
+    ints 0..n-1, every multiplicity an int, and along each horizontal circle
+    the boundary segments must begin at points of ``source`` and end at
+    points of ``target``.  The table's ``_TableFacts``, derived once for
+    that, stay on the domain.
     """
 
     source: Generator
@@ -224,7 +227,12 @@ class GridDomain:
         _check_points(self.source, self.target)
         if list(map(len, m)) != [n] * n:
             raise BoundaryMismatch(f"multiplicity table must be {n}x{n}")
-        facts = _boundary_facts(self.source, self.target, _table_facts(m))
+        for c, col in enumerate(m):
+            for r, v in enumerate(col):
+                # A float or a bool sums like an int, but is no 2-chain.
+                if type(v) is not int:
+                    raise BoundaryMismatch(f"multiplicity {v!r} at cell ({c}, {r}) is not an int")
+        facts = _boundary_facts(self.source, self.target, m, _count_facts(m))
         object.__setattr__(self, "_facts", facts)
 
     @property
@@ -245,33 +253,27 @@ def _rectangle_table(n: int, c1: int, r1: int, width: int, height: int) -> _Tabl
 
 
 @functools.lru_cache(maxsize=_MEMO_SIZE)
-def _anchored_facts(n: int, width: int, height: int) -> _TableFacts:
-    """The facts of the rectangle shape anchored at (c1, r1) = (0, 0)."""
-    return _count_facts(_rectangle_table(n, 0, 0, width, height))
-
-
-@functools.lru_cache(maxsize=_MEMO_SIZE)
 def _rectangle_shape(
     n: int, c1: int, r1: int, width: int, height: int
 ) -> tuple[_Table, _TableFacts]:
     """The table of the rectangle shape and its facts, kept per shape.
 
-    The table is the anchored one moved c1 columns and r1 rows along the
-    torus, so its facts are the anchored facts moved alike: lattice points
-    shift by (c1, r1) mod n, ``four_n`` turns by c1 columns and each of its
-    columns by r1 rows, and the sum of the cells stays.
+    The shape anchored at (0, 0) derives its facts from its table.  Every
+    other table is that one moved c1 columns and r1 rows along the torus,
+    so its facts are the anchored facts moved alike: ``moves`` shift by
+    (c1, r1) mod n, ``four_n`` turns by c1 columns and each of its columns
+    by r1 rows, and the sum of the cells stays.
     """
-    facts = _anchored_facts(n, width, height)
-    defect = {((c + c1) % n, (j + r1) % n): d for (c, j), d in facts.defect.items()}
+    m = _rectangle_table(n, c1, r1, width, height)
+    if c1 == r1 == 0:
+        return m, _count_facts(m)
+    facts = _rectangle_shape(n, 0, 0, width, height)[1]
     moves = facts.moves
     if moves is not None:
         moves = tuple(((c + c1) % n, (s + r1) % n, (t + r1) % n) for c, s, t in moves)
     columns = facts.four_n[-c1:] + facts.four_n[:-c1]
     four_n = tuple(col[-r1:] + col[:-r1] for col in columns)
-    return (
-        _rectangle_table(n, c1, r1, width, height),
-        _TableFacts(defect, moves, four_n, facts.cells),
-    )
+    return m, _TableFacts(moves, four_n, facts.cells)
 
 
 def from_rectangle(rect: Rectangle) -> GridDomain:
@@ -295,21 +297,11 @@ def add_domains(first: GridDomain, second: GridDomain) -> GridDomain:
         tuple(first.multiplicities[c][r] + second.multiplicities[c][r] for r in range(n))
         for c in range(n)
     )
-    return _shaped_domain(first.source, second.target, mult, _table_facts(mult))
+    return _shaped_domain(first.source, second.target, mult, _count_facts(mult))
 
 
 # A cell is a square: four corners, each a quarter right angle.
 _CORNERS_PER_CELL = 4
-
-
-def _four_euler(facts: _TableFacts) -> int:
-    """4·e(D): each cell contributes 4·(1 - corners/4) times its multiplicity."""
-    return (4 - _CORNERS_PER_CELL) * facts.cells
-
-
-def _four_total_N(D: GridDomain, facts: _TableFacts) -> int:
-    """4·N(D): 4·n_p over the source point and the target point of each column."""
-    return sum(col[s] + col[t] for col, s, t in zip(facts.four_n, D.source, D.target))
 
 
 @functools.lru_cache(maxsize=_MEMO_SIZE)
@@ -327,7 +319,8 @@ def euler_measure(D: GridDomain) -> Fraction:
     grid domain.  Computed, not assumed, so the index formula below reads as
     written.
     """
-    return _quarter(_four_euler(D._facts))
+    # 4·e(D): each cell contributes 4·(1 - corners/4) times its multiplicity.
+    return _quarter((4 - _CORNERS_PER_CELL) * D._facts.cells)
 
 
 def point_multiplicity(D: GridDomain, c: int, r: int) -> Fraction:
@@ -354,7 +347,8 @@ def total_N(D: GridDomain) -> Fraction:
 
     Points shared by both generators count twice, once per generator.
     """
-    return _quarter(_four_total_N(D, D._facts))
+    # 4·n_p over the source point and the target point of each column.
+    return _quarter(sum(col[s] + col[t] for col, s, t in zip(D._facts.four_n, D.source, D.target)))
 
 
 def maslov_index(D: GridDomain) -> Fraction:

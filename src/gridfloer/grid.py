@@ -29,6 +29,13 @@ __all__ = [
 ]
 
 
+def _check_size(n: int) -> None:
+    if type(n) is not int:
+        raise TooSmall(f"grid size must be an integer, got {n!r}")
+    if n < 2:
+        raise TooSmall(f"grid size must be at least 2, got {n}")
+
+
 def _check_permutation(name: str, rows: Sequence[int], n: int) -> None:
     seen = [False] * n
     for c, r in enumerate(rows):
@@ -59,10 +66,7 @@ class GridDiagram:
     def __post_init__(self):
         object.__setattr__(self, "o_rows", tuple(self.o_rows))
         object.__setattr__(self, "x_rows", tuple(self.x_rows))
-        if type(self.n) is not int:
-            raise TooSmall(f"grid size must be an integer, got {self.n!r}")
-        if self.n < 2:
-            raise TooSmall(f"grid size must be at least 2, got {self.n}")
+        _check_size(self.n)
         if len(self.o_rows) != self.n:
             raise NotAPermutation(f"O has {len(self.o_rows)} entries, expected n = {self.n}")
         if len(self.x_rows) != self.n:
@@ -247,8 +251,7 @@ def parse_grid(text: str) -> GridDiagram:
 
 def random_grid(n: int, rng: random.Random) -> GridDiagram:
     """A uniformly random valid grid diagram of size n (any number of components)."""
-    if n < 2:
-        raise TooSmall(f"grid size must be at least 2, got {n}")
+    _check_size(n)
     o = rng.sample(range(n), n)
     while True:
         x = rng.sample(range(n), n)

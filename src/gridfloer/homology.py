@@ -264,6 +264,8 @@ def peel_v(poly: BigradedRanks, count: int) -> BigradedRanks:
     a valid grid that cannot happen, so callers treat it as an internal
     alarm, not an input error.
     """
+    if type(count) is not int:
+        raise ValueError(f"count must be an int, got {count!r}")
     if count < 0:
         raise ValueError("count must be >= 0")
     tilde: dict[int, dict[int, int]] = {}

@@ -434,6 +434,10 @@ def oracle_check_domain(source, target, multiplicities) -> None:
         raise BoundaryMismatch("source and target must be permutations of 0..n-1")
     if len(m) != n or any(len(col) != n for col in m):
         raise BoundaryMismatch(f"multiplicity table must be {n}x{n}")
+    for c in range(n):
+        for r in range(n):
+            if type(m[c][r]) is not int:
+                raise BoundaryMismatch(f"multiplicity {m[c][r]!r} at cell ({c}, {r}) is not an int")
     if any(type(p) is not int for p in (*source, *target)):
         raise BoundaryMismatch("source and target must be permutations of 0..n-1")
     src = set(enumerate(source))

@@ -75,6 +75,26 @@ def test_domain_rejects_points_that_are_not_ints(source):
             oracle_check_domain(*points, zeros)
 
 
+@pytest.mark.parametrize("bad", [0.5, True, "1", None], ids=["float", "bool", "str", "None"])
+def test_domain_rejects_multiplicities_that_are_not_ints(bad):
+    # A float or a bool sums like an int, and a str or None does not sum at
+    # all; none is a multiplicity of an integer 2-chain.  Refused after the
+    # shape check and before the boundary check, naming the first such
+    # entry: also where every entry is alike, so the boundary closes up,
+    # and where a point is a float too.
+    for table, cell in ((((bad, bad), (bad, bad)), (0, 0)), (((0, 0), (0, bad)), (1, 1))):
+        message = f"multiplicity {bad!r} at cell {cell} is not an int"
+        for check in (GridDomain, oracle_check_domain):
+            for source in ((0, 1), (0, 1.0)):
+                with pytest.raises(BoundaryMismatch) as err:
+                    check(source, (0, 1), table)
+                assert str(err.value) == message
+            with pytest.raises(BoundaryMismatch, match="2x2"):
+                check((0, 1), (0, 1), table[:1])
+            with pytest.raises(BoundaryMismatch, match="permutations"):
+                check((0, 0), (0, 1), table)
+
+
 def test_from_rectangle_validates_like_grid_domain():
     # from_rectangle skips the copy and the shape check of its own table,
     # never the permutation check or the boundary check: hand-built
@@ -399,8 +419,7 @@ def test_one_table_validates_against_many_generator_pairs():
     # the memo after the first pair, and every table with a valid pair sees
     # a valid pair after an invalid one and an invalid pair after a valid one.
     rng = random.Random(42)
-    hits = domains._table_facts.cache_info().hits
-    checks = with_valid = 0
+    with_valid = 0
     for n in (3, 4):
         perms = list(itertools.permutations(range(n)))
         pool = set()
@@ -417,28 +436,37 @@ def test_one_table_validates_against_many_generator_pairs():
                 if previous is not None and (got is None) != previous:
                     flips.add(got is None)
                 previous = got is None
-                checks += 1
             if flips:
                 assert flips == {True, False}, m
                 with_valid += 1
     assert with_valid >= 8
-    assert domains._table_facts.cache_info().hits - hits >= checks - 16
 
 
-def test_each_domain_looks_up_its_table_once():
+def test_each_domain_looks_up_its_table_once(monkeypatch):
     # Validation looks the table up once: a rectangle's domain in the shape
-    # memo, any other domain in _table_facts.  The index functions read the
-    # facts the domain keeps, so one domain costs one lookup however much it
-    # is read.
+    # memo, and any other domain has _count_facts derive its facts.  The
+    # index functions read the facts the domain keeps, so one domain costs
+    # one lookup however much it is read.  Every shape of the grid's n is
+    # in the memo first, so no lookup derives an anchored shape on the way.
     rng = random.Random(45)
+    derived = []
+    real = domains._count_facts
+
+    def spy(m):
+        derived.append(m)
+        return real(m)
+
+    monkeypatch.setattr(domains, "_count_facts", spy)
 
     def lookups():
-        memos = (domains._rectangle_shape, domains._table_facts)
-        return tuple(m.cache_info().hits + m.cache_info().misses for m in memos)
+        info = domains._rectangle_shape.cache_info()
+        return info.hits + info.misses, len(derived)
 
-    shapes, tables = lookups()
     for _ in range(40):
         G = random_grid(rng.randint(2, 6), rng)
+        for shape in itertools.product(range(G.n), repeat=4):
+            domains._rectangle_shape(G.n, *shape)
+        shapes, tables = lookups()
         x = tuple(rng.sample(range(G.n), G.n))
         for r in rectangles_from(G, x):
             D = from_rectangle(r)
@@ -464,14 +492,18 @@ def _assert_translated_facts_are_derived(n, c1, r1, w, h):
         for c in range(n)
     ), (n, c1, r1, w, h)
     derived = domains._count_facts(m)
-    assert facts.defect == derived.defect, (n, c1, r1, w, h)
     assert facts.four_n == derived.four_n, (n, c1, r1, w, h)
     assert facts.cells == derived.cells, (n, c1, r1, w, h)
-    # Moves touch distinct columns, so their order does not matter.
-    if derived.moves is None:
-        assert facts.moves is None, (n, c1, r1, w, h)
-    else:
-        assert sorted(facts.moves) == sorted(derived.moves), (n, c1, r1, w, h)
+    # A rectangle's boundary moves one point in each of its two side
+    # columns, and moves touch distinct columns, so their order does not
+    # matter.
+    assert derived.moves is not None, (n, c1, r1, w, h)
+    assert sorted(facts.moves) == sorted(derived.moves), (n, c1, r1, w, h)
+    implied = {}
+    for c, s, t in facts.moves:
+        implied[c, s] = -1
+        implied[c, t] = 1
+    assert domains._defects(m) == implied, (n, c1, r1, w, h)
 
 
 def test_translated_facts_equal_derived_facts():
@@ -488,8 +520,9 @@ def test_translated_facts_equal_derived_facts():
 
 
 def test_verify_derives_facts_once_per_anchored_shape(monkeypatch):
-    # Facts are derived once per (n, width, height) and moved to each of
-    # the n^2 anchors, so a run at n = 7 derives at most (n - 1)^2 tables.
+    # Facts are derived once per (n, width, height), for the shape anchored
+    # at (0, 0), and moved to each of the n^2 anchors, so a run at n = 7
+    # derives at most (n - 1)^2 tables.
     derived = []
     real = domains._count_facts
 
@@ -497,16 +530,13 @@ def test_verify_derives_facts_once_per_anchored_shape(monkeypatch):
         derived.append(m)
         return real(m)
 
-    memos = (domains._rectangle_shape, domains._anchored_facts)
     try:
-        for memo in memos:
-            memo.cache_clear()
+        domains._rectangle_shape.cache_clear()
         monkeypatch.setattr(domains, "_count_facts", spy)
         assert all(r.passed for r in run_checks(TWIST7))
         assert 0 < len(derived) <= (TWIST7.n - 1) ** 2
     finally:
-        for memo in memos:
-            memo.cache_clear()
+        domains._rectangle_shape.cache_clear()
 
 
 def _periodic_table(rng: random.Random, n: int):
@@ -569,7 +599,7 @@ def test_memos_stay_within_their_bounds():
     # At n = 11 the affine permutations c -> a*c + b (mod 11) have every
     # rectangle shape (c1, r1, width, height) exactly once among their
     # rectangles: 12,100 shapes, each with its own table and marking counts,
-    # more than any of the three per-shape memos keeps.
+    # more than either per-shape memo keeps.
     n = 11
     G = random_grid(n, random.Random(44))
     shapes = set()
@@ -581,15 +611,14 @@ def test_memos_stay_within_their_bounds():
                     shapes.add((r.c1, r.r1, r.width, r.height))
                     D = from_rectangle(r)
                     assert (maslov_index(D) == 1) == r.empty
-                    # The same table from outside goes through _table_facts.
+                    # The same table from outside derives its own facts.
                     outside = GridDomain(x, r.target, D.multiplicities)
                     assert maslov_index(outside) == maslov_index(D)
         assert len(shapes) == n * n * (n - 1) ** 2
-        for memo in (domains._table_facts, domains._rectangle_shape, chain._marking_counts):
+        for memo in (domains._rectangle_shape, chain._marking_counts):
             info = memo.cache_info()
             assert info.maxsize == chain._MEMO_SIZE < len(shapes)
             assert info.currsize <= chain._MEMO_SIZE
     finally:
-        domains._table_facts.cache_clear()
         domains._rectangle_shape.cache_clear()
         chain._marking_counts.cache_clear()

@@ -64,6 +64,13 @@ def test_rejects_sizes_and_rows_that_are_not_ints():
         GridDiagram(2.0, (0, 1), (1, 0))
     with pytest.raises(TooSmall):
         GridDiagram(True, (0,), (0,))
+    # random_grid refuses a size as the grid does, before drawing rows.
+    for n in (2.5, 3.0, True, "3"):
+        with pytest.raises(TooSmall) as want:
+            GridDiagram(n, (0, 1), (1, 0))
+        with pytest.raises(TooSmall, match="must be an integer") as got:
+            random_grid(n, random.Random(0))
+        assert str(got.value) == str(want.value)
     for rows in [(0, 1.0), (0, "1"), (False, True)]:
         with pytest.raises(NotAPermutation):
             GridDiagram(2, rows, (1, 0))

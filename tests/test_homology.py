@@ -360,6 +360,15 @@ def test_peel_v_inverts_v_multiplication():
     assert peel_v(square, 0).as_dict() == square.as_dict()
 
 
+def test_peel_v_refuses_a_count_that_is_not_a_nonnegative_int():
+    square = BigradedRanks.v_factor() * BigradedRanks.v_factor()
+    for count in (1.5, 2.0, True, "2", None):
+        with pytest.raises(ValueError, match="must be an int"):
+            peel_v(square, count)
+    with pytest.raises(ValueError, match=">= 0"):
+        peel_v(square, -1)
+
+
 def test_peel_v_round_trips_on_real_homology():
     rng = random.Random(44)
     v = BigradedRanks.v_factor()
