@@ -20,15 +20,34 @@ Everything but the generator points is fixed by the multiplicity table
 alone: how its boundary moves the points along the horizontal circles,
 the four-cell sum around each lattice point, and the sum of all cells.
 ``_count_facts`` works those facts out of a table, and a domain keeps
-them from its validation on, for the index.  ``GridDomain`` and
-``add_domains`` derive them from the domain's own table.  ``verify``
-builds one domain per (generator, rectangle) pair, and each rectangle
-shape recurs across many generators, so ``from_rectangle`` hashes no
-table: ``_rectangle_shape``, keyed by the shape (n, c1, r1, width,
-height), hands back the shape's table, an n-by-n tuple of int tuples,
-with its facts.  So a rectangle's domain hashes five ints, and like the
-sums ``add_domains`` builds it skips the copy and the checks of shape
-and entries that ``GridDomain`` gives a table from outside.
+them from its validation on, for the index.
+
+One validator, ``_validated(source, target, table, facts)``, accepts or
+refuses every domain.  It accepts when the source is a permutation of
+the ints 0..n-1 and the target is the source with each of the table's
+boundary moves made; such a target is a permutation too, since the
+defects of each row sum to zero, so only the source is sorted.  Anything
+else raises one ``BoundaryMismatch``, worded by ``_refusal``, which
+names the first fault in this order: points that are no permutation of
+0..n-1, a table that is not n-by-n, an entry that is not an int (a
+float or a bool sums like one, but is no 2-chain), a point that is not
+an int, and the first boundary defect in row-major order.
+
+``GridDomain`` copies its table into tuples; a table that is not an
+n-by-n table of ints is refused there, by ``_refusal``, and any other
+has ``_count_facts`` derive the facts the validator checks against.
+``add_domains`` builds its sum through ``GridDomain``.  ``verify`` builds
+one domain per (generator, rectangle) pair, and each rectangle shape
+recurs across many generators, so ``from_rectangle`` hashes no table:
+``_rectangle_shape``, keyed by (n, c1, r1, width, height) with width =
+(c2 - c1) mod n and height = (r2 - r1) mod n, hands back the shape's
+table, an n-by-n tuple of int tuples, with its facts, and the validator
+checks the points against them.  The four corners must be ints before
+the lookup, since 2.0 and True key the memo as 2 and 1 do: a rectangle
+with a corner that is not an int is refused, after any fault of its
+points, with "rectangle corners c1, r1, c2 and r2 must be ints".  An
+anchor (c1, r1) outside 0..n-1 is taken mod n when its shape is built,
+so it gets the table and facts of the anchor it wraps to.
 
 A shape's facts are not read off its own table.  Every rectangle shape of
 one (n, width, height) is the one anchored at (c1, r1) = (0, 0) moved along
@@ -39,22 +58,15 @@ c1 columns and r1 rows, and the sum of the cells stays.  ``_count_facts``
 is still the only code that reads facts off a table, so the index stays
 what the table implies.  Where a boundary fails to close up is worked
 out from the table only when a domain is refused, to word the refusal;
-no shape keeps it.  A fresh process fills all n^2 (n - 1)^2 shapes in
-2.9 ms at n = 5, 12 ms at n = 7 and 70 ms at n = 10, against 3.3 ms,
-15 ms and 93 ms when each shape also moved a defect map (best of 5,
-interleaved, 2-core Xeon, Python 3.11.7), and 9.5 ms, 57 ms and 0.40 s
-when each shape's facts were derived from its own table.
+no shape keeps it.
 
-Validation is O(n) per domain.  The source must be a permutation; the
-boundary check then compares the target with the source moved as the
-table's facts say, after checking that every point is an int.  A target
-that passes is a permutation too, since each row's defects sum to zero,
-so only a failing one is sorted, to tell a non-permutation from a
-boundary defect.  ``maslov_index`` sums 4·mu in one pass over the columns.
-Each value of 4·mu comes back as one shared ``Fraction`` from a second
-memo, as building one costs about as much as the index itself.  Both
-keep at most ``chain._MEMO_SIZE`` = 8,192 entries (least recently used
-out first): room for every rectangle shape of every grid up to n = 10,
+Validating a rectangle's domain is O(n): one sort of the source, a type
+check of its 2n points and one pass over the moves.  ``maslov_index``
+sums 4·mu in one pass over the columns.  Each value of 4·mu comes back
+as one shared ``Fraction`` from a second memo, as building one costs
+about as much as the index itself.  Both memos keep at most
+``chain._MEMO_SIZE`` = 8,192 entries (least recently used out first):
+room for every rectangle shape of every grid up to n = 10,
 n^2 (n - 1)^2 = 8,100 of them.
 """
 
@@ -132,11 +144,29 @@ def _count_facts(m: _Table) -> _TableFacts:
     return _TableFacts(moves, tuple(four_n), sum(map(sum, m)))
 
 
-def _first_defect(m: _Table, source: Generator, target: Generator) -> str:
-    """The mismatch of a rejected domain: a point that is not an int, else its
-    first defect in row-major order."""
-    if any(type(p) is not int for p in (*source, *target)):
+def _refusal(source: Generator, target: Generator, m: _Table | None) -> str:
+    """Why source, target and the table m make no domain: the first fault
+    found, in this order.  Points that are no permutation of 0..n-1, a
+    table that is not n-by-n, an entry that is not an int, a point that is
+    not an int, then the first boundary defect in row-major order.  m is
+    None for a rectangle with a corner that is not an int, which has no
+    table; that fault comes after the points'."""
+    n = len(source)
+    rows = list(range(n))
+    if sorted(source) != rows or sorted(target) != rows:
         return _NOT_PERMUTATIONS
+    if m is not None:
+        if list(map(len, m)) != [n] * n:
+            return f"multiplicity table must be {n}x{n}"
+        for c, col in enumerate(m):
+            for r, v in enumerate(col):
+                if type(v) is not int:
+                    return f"multiplicity {v!r} at cell ({c}, {r}) is not an int"
+    # 1.0 and True sort like 1, but only an int indexes the table.
+    if {*map(type, source), *map(type, target)} - _INT:
+        return _NOT_PERMUTATIONS
+    if m is None:
+        return "rectangle corners c1, r1, c2 and r2 must be ints"
     residual = _defects(m)
     for c, (s, t) in enumerate(zip(source, target)):
         residual[c, t] = residual.get((c, t), 0) - 1
@@ -145,61 +175,32 @@ def _first_defect(m: _Table, source: Generator, target: Generator) -> str:
     return f"boundary defect {residual[c, j]} at lattice point ({c}, {j})"
 
 
-def _check_points(source: Generator, target: Generator) -> None:
-    rows = list(range(len(source)))
-    if sorted(source) != rows or sorted(target) != rows:
-        raise BoundaryMismatch(_NOT_PERMUTATIONS)
-
-
-def _boundary_facts(
+def _validated(
     source: Generator, target: Generator, m: _Table, facts: _TableFacts
 ) -> _TableFacts:
-    """``facts``, once the boundary of their n-by-n table ``m`` is checked
-    to run from source to target, a permutation.
+    """``facts``, once the boundary of their n-by-n table of ints m is
+    checked to run from source, a permutation of the ints 0..n-1, to target.
 
-    The table's defect must be +1 at (c, target[c]) and -1 at
-    (c, source[c]) in each column where the two differ, and 0 elsewhere:
-    the target is the source with each of the table's ``moves`` made.  A
-    target that passes is a permutation too (see ``_shaped_domain``); one
-    that fails is sorted, so that a non-permutation is refused as such.
+    The target must be the source with each of the table's ``moves`` made.
+    Only the source is sorted: a target that passes is a permutation too,
+    since on the torus the defects of each row sum to zero, so every row
+    holds as many target points as source points, one.  Anything else
+    raises ``BoundaryMismatch`` with ``_refusal``'s message.
     """
-    moves = facts.moves
-    # 1.0 and True compare like 1, but only an int indexes the table.
-    if moves is not None and {*map(type, source), *map(type, target)} <= _INT:
+    if (
+        facts.moves is not None
+        and {*map(type, source), *map(type, target)} <= _INT
+        and sorted(source) == list(range(len(source)))
+    ):
         expected = [*source]
-        for c, s, t in moves:
+        for c, s, t in facts.moves:
             if expected[c] != s:
                 break
             expected[c] = t
         else:
             if expected == [*target]:
                 return facts
-    _check_points(source, target)
-    raise BoundaryMismatch(_first_defect(m, source, target))
-
-
-def _shaped_domain(
-    source: Generator, target: Generator, m: _Table, facts: _TableFacts
-) -> GridDomain:
-    """``GridDomain(source, target, m)`` for a table built here, already an
-    n-by-n tuple of int tuples with ``facts`` its ``_TableFacts``: validated
-    alike, but neither copied, re-shaped nor looked up again.
-
-    Only the source is sorted.  A target that passes the boundary check is
-    a permutation too: on the torus the defects of each row sum to zero,
-    so every row holds as many target points as source points, one.
-    """
-    if sorted(source) != list(range(len(source))):
-        raise BoundaryMismatch(_NOT_PERMUTATIONS)
-    D = object.__new__(GridDomain)
-    # A frozen dataclass refuses setattr; its __init__ goes around that too.
-    D.__dict__.update(
-        source=source,
-        target=target,
-        multiplicities=m,
-        _facts=_boundary_facts(source, target, m, facts),
-    )
-    return D
+    raise BoundaryMismatch(_refusal(source, target, m))
 
 
 @dataclass(frozen=True)
@@ -209,9 +210,10 @@ class GridDomain:
     ``multiplicities[c][r]`` is the coefficient of the cell whose lower-left
     lattice corner is (c, r).  Negative coefficients are allowed.  Validated
     on construction: ``source`` and ``target`` must be permutations of the
-    ints 0..n-1, every multiplicity an int, and along each horizontal circle
-    the boundary segments must begin at points of ``source`` and end at
-    points of ``target``.  The table's ``_TableFacts``, derived once for
+    ints 0..n-1, the table n-by-n, every multiplicity an int (a float or a
+    bool sums like one, but is no 2-chain), and along each horizontal
+    circle the boundary segments must begin at points of ``source`` and end
+    at points of ``target``.  The table's ``_TableFacts``, derived once for
     that, stay on the domain.
     """
 
@@ -224,32 +226,14 @@ class GridDomain:
         m = tuple(map(tuple, self.multiplicities))
         object.__setattr__(self, "multiplicities", m)
         n = len(self.source)
-        _check_points(self.source, self.target)
-        if list(map(len, m)) != [n] * n:
-            raise BoundaryMismatch(f"multiplicity table must be {n}x{n}")
-        for c, col in enumerate(m):
-            for r, v in enumerate(col):
-                # A float or a bool sums like an int, but is no 2-chain.
-                if type(v) is not int:
-                    raise BoundaryMismatch(f"multiplicity {v!r} at cell ({c}, {r}) is not an int")
-        facts = _boundary_facts(self.source, self.target, m, _count_facts(m))
+        if list(map(len, m)) != [n] * n or {type(v) for col in m for v in col} - _INT:
+            raise BoundaryMismatch(_refusal(self.source, self.target, m))
+        facts = _validated(self.source, self.target, m, _count_facts(m))
         object.__setattr__(self, "_facts", facts)
 
     @property
     def n(self) -> int:
         return len(self.source)
-
-
-def _rectangle_table(n: int, c1: int, r1: int, width: int, height: int) -> _Table:
-    """Multiplicity one on the rectangle's cells, zero elsewhere.
-
-    Every column is one shared inside column or one shared outside column,
-    anchored at row and column 0 and turned r1 rows and c1 columns along
-    the torus.
-    """
-    inside = (1,) * height + (0,) * (n - height)
-    columns = (inside[-r1:] + inside[:-r1],) * width + ((0,) * n,) * (n - width)
-    return columns[-c1:] + columns[:-c1]
 
 
 @functools.lru_cache(maxsize=_MEMO_SIZE)
@@ -258,13 +242,19 @@ def _rectangle_shape(
 ) -> tuple[_Table, _TableFacts]:
     """The table of the rectangle shape and its facts, kept per shape.
 
-    The shape anchored at (0, 0) derives its facts from its table.  Every
-    other table is that one moved c1 columns and r1 rows along the torus,
-    so its facts are the anchored facts moved alike: ``moves`` shift by
-    (c1, r1) mod n, ``four_n`` turns by c1 columns and each of its columns
-    by r1 rows, and the sum of the cells stays.
+    The table has multiplicity one on the shape's cells and zero elsewhere:
+    every column is one shared inside column or one shared outside column,
+    anchored at row and column 0 and turned r1 rows and c1 columns along
+    the torus, so any int anchor names its shape mod n.  The shape
+    anchored at (0, 0) derives its facts from its table.  Every other
+    shape's facts are those moved alike: ``moves`` shift by (c1, r1) mod n,
+    ``four_n`` turns by c1 columns and each of its columns by r1 rows, and
+    the sum of the cells stays.
     """
-    m = _rectangle_table(n, c1, r1, width, height)
+    c1, r1 = c1 % n, r1 % n
+    inside = (1,) * height + (0,) * (n - height)
+    columns = (inside[-r1:] + inside[:-r1],) * width + ((0,) * n,) * (n - width)
+    m = columns[-c1:] + columns[:-c1]
     if c1 == r1 == 0:
         return m, _count_facts(m)
     facts = _rectangle_shape(n, 0, 0, width, height)[1]
@@ -279,25 +269,32 @@ def _rectangle_shape(
 def from_rectangle(rect: Rectangle) -> GridDomain:
     """The domain of multiplicity one on a rectangle's cells.
 
-    Rectangles of one shape share one table and its facts, whatever their
-    generators.
+    Validated as ``GridDomain`` validates the same table, which rectangles
+    of one shape share with its facts, whatever their generators.  The
+    shape is keyed by (n, c1, r1, width, height), so its corners must be
+    ints first: 2.0 and True key the memo as 2 and 1 do.
     """
-    source, c1, r1 = rect.source, rect.c1, rect.r1
+    source, target, c1, r1 = rect.source, rect.target, rect.c1, rect.r1
+    if not type(c1) is type(r1) is type(rect.c2) is type(rect.r2) is int:
+        raise BoundaryMismatch(_refusal(source, target, None))
     n = len(source)
     m, facts = _rectangle_shape(n, c1, r1, (rect.c2 - c1) % n, (rect.r2 - r1) % n)
-    return _shaped_domain(source, rect.target, m, facts)
+    facts = _validated(source, target, m, facts)
+    D = object.__new__(GridDomain)
+    # A frozen dataclass refuses setattr; its __init__ goes around that too.
+    D.__dict__.update(source=source, target=target, multiplicities=m, _facts=facts)
+    return D
 
 
 def add_domains(first: GridDomain, second: GridDomain) -> GridDomain:
     """Concatenate domains x -> y and y -> z into a domain x -> z."""
     if first.target != second.source:
         raise BoundaryMismatch("domains do not compose: first.target != second.source")
-    n = first.n
-    mult = tuple(
-        tuple(first.multiplicities[c][r] + second.multiplicities[c][r] for r in range(n))
-        for c in range(n)
-    )
-    return _shaped_domain(first.source, second.target, mult, _count_facts(mult))
+    mult = [
+        [a + b for a, b in zip(*cols)]
+        for cols in zip(first.multiplicities, second.multiplicities)
+    ]
+    return GridDomain(first.source, second.target, mult)
 
 
 # A cell is a square: four corners, each a quarter right angle.

@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import itertools
+import json
 import random
+import subprocess
+import sys
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -32,11 +36,14 @@ from .helpers import (
     TREFOIL5,
     TWIST7,
     all_grids,
+    cli_env,
     oracle_check_domain,
     oracle_euler_measure,
     oracle_maslov_index,
     oracle_point_multiplicity,
 )
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _empty_rect(G, rng):
@@ -171,6 +178,114 @@ def test_from_rectangle_refuses_targets_as_grid_domain_does():
     assert verdicts[None] > 1000
     assert verdicts["source and target must be permutations of 0..n-1"] > 10_000
     assert sum(k for message, k in verdicts.items() if "defect" in str(message)) > 10_000
+
+
+_CORNERS = ("c1", "r1", "c2", "r2")
+_NOT_PERMUTATIONS = "source and target must be permutations of 0..n-1"
+_NOT_INT_CORNERS = "rectangle corners c1, r1, c2 and r2 must be ints"
+
+
+def _odd_rectangles():
+    """The rectangles from two sources on each of two grids at n = 3, 4
+    and 5: each with one corner a float or a bool (every third with its
+    target off in one column too), each moved by n and by -n in each of
+    its four corners, each with its target off in one column, and each as
+    it is.  Those with a corner that is not an int come first, so that in
+    a fresh process the shape memo holds none of their shapes yet."""
+    rng = random.Random(47)
+    odd, rest = [], []
+    for n in (3, 4, 5):
+        for G in (random_grid(n, rng), random_grid(n, rng)):
+            for x in (tuple(rng.sample(range(n), n)) for _ in range(2)):
+                for k, r in enumerate(rectangles_from(G, x)):
+                    off = list(r.target)
+                    c = rng.randrange(n)
+                    off[c] = (off[c] + 1) % n
+                    off = tuple(off)
+                    corner = _CORNERS[k % 4]
+                    v = getattr(r, corner)
+                    bad = bool(v) if v < 2 and k % 2 else float(v)
+                    odd.append(replace(r, **{corner: bad}))
+                    if k % 3 == 0:
+                        odd.append(replace(r, target=off, **{corner: bad}))
+                    for corner in _CORNERS:
+                        for step in (n, -n):
+                            rest.append(replace(r, **{corner: getattr(r, corner) + step}))
+                    rest += [replace(r, target=off), r]
+    return odd + rest
+
+
+def _rectangle_verdicts():
+    """Per rectangle of ``_odd_rectangles``: from_rectangle's refusal, or
+    the index of its domain and that of the domain GridDomain builds from
+    the same points and the domain's own table."""
+    verdicts = []
+    for rect in _odd_rectangles():
+        try:
+            D = from_rectangle(rect)
+        except BoundaryMismatch as err:
+            verdicts.append(str(err))
+            continue
+        try:
+            own = str(maslov_index(GridDomain(D.source, D.target, D.multiplicities)))
+        except BoundaryMismatch as err:
+            own = str(err)
+        verdicts.append([str(maslov_index(D)), own])
+    return verdicts
+
+
+def _wrapped_verdict(rect):
+    """What ``_rectangle_verdicts`` must say of rect: GridDomain's verdict
+    on the table of the rectangle with its corners made ints and wrapped
+    onto the torus, and where a corner is not an int, from_rectangle's
+    refusal of it unless the points are refused first."""
+    n = rect.n
+    c1, r1, c2, r2 = (int(getattr(rect, k)) % n for k in _CORNERS)
+    w, h = (c2 - c1) % n, (r2 - r1) % n
+    m = tuple(
+        tuple(int((c - c1) % n < w and (r - r1) % n < h) for r in range(n)) for c in range(n)
+    )
+    try:
+        mu = str(maslov_index(GridDomain(rect.source, rect.target, m)))
+        want = [mu, mu]
+    except BoundaryMismatch as err:
+        want = str(err)
+    if any(type(getattr(rect, k)) is not int for k in _CORNERS) and want != _NOT_PERMUTATIONS:
+        want = _NOT_INT_CORNERS
+    return want
+
+
+def test_from_rectangle_agrees_with_grid_domain_cold_and_warm():
+    # A rectangle's domain is refused or accepted as GridDomain refuses or
+    # accepts the wrapped rectangle's table, whatever the shape memo holds:
+    # once in a fresh process, where the memo starts empty, and once here
+    # after every shape of n = 3, 4 and 5 is in it.
+    cold = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import json; from tests.test_domains import _rectangle_verdicts as v; "
+            "print(json.dumps(v()))",
+        ],
+        cwd=ROOT,
+        env=cli_env(),
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    for n in (3, 4, 5):
+        for shape in itertools.product(range(n), repeat=4):
+            domains._rectangle_shape(n, *shape)
+    warm = _rectangle_verdicts()
+    assert json.loads(cold.stdout) == warm
+    rects = _odd_rectangles()
+    assert len(rects) == len(warm)
+    for rect, got in zip(rects, warm):
+        assert got == _wrapped_verdict(rect), rect
+    kinds = Counter(v if isinstance(v, str) else "accepted" for v in warm)
+    assert kinds["accepted"] > 1000
+    assert kinds[_NOT_INT_CORNERS] > 50 and kinds[_NOT_PERMUTATIONS] > 50
 
 
 def test_each_index_value_is_one_shared_fraction():
