@@ -26,6 +26,7 @@ import os
 import random
 import sys
 from collections.abc import Callable, Iterable
+from gettext import gettext
 from math import factorial
 from multiprocessing import Pool
 
@@ -317,7 +318,17 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # Every option is declared once, on the two parents, and copied into the
+    # subparsers: each add_argument builds a HelpFormatter to check its
+    # metavar, and each argparse -h looks up its help text with gettext.
     common = argparse.ArgumentParser(add_help=False)
+    common.add_argument(
+        "-h",
+        "--help",
+        action="help",
+        default=argparse.SUPPRESS,
+        help=gettext("show this help message and exit"),
+    )
     common.add_argument(
         "--format",
         choices=("text", "records"),
@@ -341,14 +352,15 @@ def build_parser() -> argparse.ArgumentParser:
         " their cost grows exponentially with n, and homology and verify"
         " enumerate all n! generators",
     )
+    grid_input = argparse.ArgumentParser(add_help=False)
+    grid_input.add_argument("path", help="grid file (batch allowed), or - for stdin")
     parser = _Parser(
         prog="gridfloer",
         description="Grid diagram homology: link invariants from combinatorial chain complexes.",
     )
     sub = parser.add_subparsers(dest="verb", required=True, metavar="VERB")
     for name, (_, _, help_text) in _VERBS.items():
-        p = sub.add_parser(name, parents=[common], help=help_text)
-        p.add_argument("path", help="grid file (batch allowed), or - for stdin")
+        sub.add_parser(name, parents=[common, grid_input], add_help=False, help=help_text)
     mv = sub.choices["move"]
     mv.add_argument(
         "--kind",
@@ -363,7 +375,9 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="I",
         help="shift count (cyclic), pair index (commute), or column (stabilize)",
     )
-    rnd = sub.add_parser("random", parents=[common], help="emit a random valid grid")
+    rnd = sub.add_parser(
+        "random", parents=[common], add_help=False, help="emit a random valid grid"
+    )
     rnd.add_argument(
         "--size",
         type=int,
@@ -377,7 +391,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
-    """The parser, built on the first call: building it costs about 2 ms."""
+    """The parser, built on the first call and kept for the process.
+
+    Building it costs about 3 ms in a fresh process (2-core Xeon, Python
+    3.11.7), more than a detect verb's walk on an n = 7 grid: argparse's
+    first gettext lookup imports ``locale``, and its first parsers compile
+    their regular expressions.
+    """
     return build_parser()
 
 

@@ -29,7 +29,8 @@ boundary moves made; such a target is a permutation too, since the
 defects of each row sum to zero, so only the source is sorted.  Anything
 else raises one ``BoundaryMismatch``, worded by ``_refusal``, which
 names the first fault in this order: points that are no permutation of
-0..n-1, a table that is not n-by-n, an entry that is not an int (a
+0..n-1 (a point that is no real number, such as a str or None, among
+them), a table that is not n-by-n, an entry that is not an int (a
 float or a bool sums like one, but is no 2-chain), a point that is not
 an int, and the first boundary defect in row-major order.
 
@@ -75,6 +76,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from numbers import Real
 from typing import NamedTuple
 
 from .chain import _MEMO_SIZE, Generator, Rectangle
@@ -146,14 +148,21 @@ def _count_facts(m: _Table) -> _TableFacts:
 
 def _refusal(source: Generator, target: Generator, m: _Table | None) -> str:
     """Why source, target and the table m make no domain: the first fault
-    found, in this order.  Points that are no permutation of 0..n-1, a
-    table that is not n-by-n, an entry that is not an int, a point that is
-    not an int, then the first boundary defect in row-major order.  m is
-    None for a rectangle with a corner that is not an int, which has no
-    table; that fault comes after the points'."""
+    found, in this order.  Points that are no permutation of 0..n-1 (a
+    point that is no real number among them), a table that is not n-by-n,
+    an entry that is not an int, a point that is not an int, then the
+    first boundary defect in row-major order.  m is None for a rectangle
+    with a corner that is not an int, which has no table; that fault
+    comes after the points'."""
     n = len(source)
     rows = list(range(n))
-    if sorted(source) != rows or sorted(target) != rows:
+    # A point that is no real number, a str or None, does not sort with
+    # ints, so the types are checked before the sort.
+    if (
+        not all(isinstance(p, Real) for p in (*source, *target))
+        or sorted(source) != rows
+        or sorted(target) != rows
+    ):
         return _NOT_PERMUTATIONS
     if m is not None:
         if list(map(len, m)) != [n] * n:

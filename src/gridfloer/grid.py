@@ -93,6 +93,11 @@ class GridDiagram:
             inv[r] = c
         return tuple(inv)
 
+    @cached_property
+    def link_summary(self) -> LinkSummary:
+        """The link this grid encodes, traced on first use (see ``link_summary``)."""
+        return _trace_link(self)
+
 
 def new_grid(n: int, o_rows: Sequence[int], x_rows: Sequence[int]) -> GridDiagram:
     """Build and validate a grid diagram."""
@@ -124,6 +129,15 @@ def successor_permutation(G: GridDiagram) -> tuple[int, ...]:
 
 
 def link_summary(G: GridDiagram) -> LinkSummary:
+    """The components and crossings of the link G encodes.
+
+    Traced once per grid and kept on it, like ``o_cols``: a knot verb reads
+    it for the knot check and again for the invariant.
+    """
+    return G.link_summary
+
+
+def _trace_link(G: GridDiagram) -> LinkSummary:
     succ = successor_permutation(G)
     comp = [-1] * G.n
     count = 0

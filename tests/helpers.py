@@ -22,6 +22,7 @@ import itertools
 import os
 import random
 from fractions import Fraction
+from numbers import Real
 from pathlib import Path
 from typing import Mapping
 
@@ -430,7 +431,10 @@ def oracle_check_domain(source, target, multiplicities) -> None:
     """
     m = tuple(tuple(col) for col in multiplicities)
     n = len(source)
-    if sorted(source) != list(range(n)) or sorted(target) != list(range(n)):
+    points = (*source, *target)
+    if not all(isinstance(p, Real) for p in points) or (
+        sorted(source) != list(range(n)) or sorted(target) != list(range(n))
+    ):
         raise BoundaryMismatch("source and target must be permutations of 0..n-1")
     if len(m) != n or any(len(col) != n for col in m):
         raise BoundaryMismatch(f"multiplicity table must be {n}x{n}")

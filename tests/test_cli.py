@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from gridfloer import (
     alexander_via_determinant,
     cli,
+    grid,
     homology_ranks,
     parse_grid,
     random_grid,
@@ -605,6 +606,74 @@ def test_help_lists_every_verb_and_option_in_order(monkeypatch, capsys):
         ("--size N", "grid size, 2 to 1000"),
         ("--seed S", ""),
     ]
+
+
+@pytest.mark.parametrize(
+    "verb", ["validate", "info", "genus", "unknot", "fibered", "hfk", "alexander", "verify"]
+)
+def test_each_grid_verb_traces_its_link_once_per_grid(monkeypatch, capsys, verb):
+    # The knot check and the invariant after it read one summary, kept on
+    # the grid: one trace per grid of the batch.
+    traced = []
+    trace = grid._trace_link
+    monkeypatch.setattr(grid, "_trace_link", lambda G: traced.append(G) or trace(G))
+    batch = serialize_grid(TREFOIL5) + "\n" + serialize_grid(TREFOIL5)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(batch))
+    assert cli.run([verb, "-"]) == 0
+    capsys.readouterr()
+    assert len(traced) == 2 and traced[0] is not traced[1]
+
+
+# verb -> (its usage after the common options, its rows after them).
+_KINDS = "{cyclic_row,cyclic_column,commute_columns,commute_rows,stabilize,destabilize}"
+_VERB_OPTIONS = {
+    "move": (
+        f" --kind {_KINDS} [--position I] path",
+        [
+            (f"--kind {_KINDS}", "which move to apply"),
+            ("--position I", "shift count (cyclic), pair index (commute), or column (stabilize)"),
+        ],
+    ),
+    "random": (" --size N [--seed S]", [("--size N", "grid size, 2 to 1000"), ("--seed S", "")]),
+}
+
+
+@pytest.mark.parametrize("verb", [*cli._VERBS, "random"])
+def test_every_verb_help_gives_its_usage_and_options(monkeypatch, capsys, verb):
+    monkeypatch.setenv("COLUMNS", "200")
+    assert cli.run([verb, "--help"]) == 0
+    out = capsys.readouterr().out
+    tail, extra = _VERB_OPTIONS.get(verb, (" path", []))
+    usage = f"usage: gridfloer {verb} [-h] [--format {{text,records}}] [--jobs K] [--max-n N]"
+    assert out.startswith(usage + tail + "\n\n")
+    path = [] if verb == "random" else [("path", "grid file (batch allowed), or - for stdin")]
+    assert _help_rows(out, 2) == [*path, *_COMMON_OPTION_ROWS, *extra]
+
+
+@pytest.mark.parametrize(
+    "argv, stderr",
+    [
+        # An unknown option is left over by the subparser and refused by the
+        # main parser, under the main usage line.
+        (
+            ["genus", "--bogus", "-"],
+            "usage: gridfloer [-h] VERB ...\n"
+            "gridfloer: error: unrecognized arguments: --bogus\n",
+        ),
+        # A bad value is refused by the subparser, under its own usage line.
+        (
+            ["genus", "--jobs", "x", "-"],
+            "usage: gridfloer genus [-h] [--format {text,records}] [--jobs K] [--max-n N] path\n"
+            "gridfloer genus: error: argument --jobs: invalid int value: 'x'\n",
+        ),
+    ],
+    ids=["unrecognized", "invalid-int"],
+)
+def test_usage_errors_give_the_usage_line_and_exit_one(monkeypatch, capsys, argv, stderr):
+    monkeypatch.setenv("COLUMNS", "200")
+    assert cli.run(argv) == 1
+    err = capsys.readouterr()
+    assert (err.out, err.err) == ("", stderr)
 
 
 class _FailingStdout(io.StringIO):

@@ -11,6 +11,7 @@ from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -70,10 +71,13 @@ def test_domain_rejects_wrong_shape():
 
 
 @pytest.mark.parametrize(
-    "source", [(0, 1.0, 2), (False, True, 2)], ids=["float", "bool"]
+    "source",
+    [(0, 1.0, 2), (False, True, 2), (0, "1", 2), (0, None, 2)],
+    ids=["float", "bool", "str", "None"],
 )
 def test_domain_rejects_points_that_are_not_ints(source):
-    # Both sort like (0, 1, 2), but a table indexed by them is not a domain.
+    # A float or a bool sorts like an int, but a table indexed by them is
+    # not a domain; a str or None does not sort with ints at all.
     zeros = ((0,) * 3,) * 3
     for points in ((source, (0, 1, 2)), ((0, 1, 2), source), ((2, 1, 0), source)):
         with pytest.raises(BoundaryMismatch, match="permutations"):
@@ -102,6 +106,27 @@ def test_domain_rejects_multiplicities_that_are_not_ints(bad):
                 check((0, 0), (0, 1), table)
 
 
+@pytest.mark.parametrize("bad", ["1", None], ids=["str", "None"])
+def test_points_that_are_no_numbers_are_the_first_fault(bad):
+    # A str or None point makes no permutation, the first fault in the
+    # order: named before a table that is not n-by-n or holds a float,
+    # also in a sum that add_domains builds.
+    message = "source and target must be permutations of 0..n-1"
+    zeros = ((0,) * 3,) * 3
+    for table in (zeros[:2], (zeros[0], (0, 0.5, 0), zeros[2])):
+        for check in (GridDomain, oracle_check_domain):
+            with pytest.raises(BoundaryMismatch) as err:
+                check((0, bad, 2), (0, 1, 2), table)
+            assert str(err.value) == message
+    first = from_rectangle(next(rectangles_from(TREFOIL5, (0, 1, 2, 3, 4))))
+    second = SimpleNamespace(
+        source=first.target, target=(0, bad, 2, 3, 4), multiplicities=((0,) * 5,) * 5
+    )
+    with pytest.raises(BoundaryMismatch) as err:
+        add_domains(first, second)
+    assert str(err.value) == message
+
+
 def test_from_rectangle_validates_like_grid_domain():
     # from_rectangle skips the copy and the shape check of its own table,
     # never the permutation check or the boundary check: hand-built
@@ -111,13 +136,16 @@ def test_from_rectangle_validates_like_grid_domain():
     good = next(r for r in rectangles_from(TREFOIL5, x) if r.width < 4)
     c1 = good.c1
     other = next(c for c in range(5) if c not in (c1, good.c2))
-    repeated, floated, crossed = list(x), list(x), list(x)
+    repeated, floated, crossed, worded = list(x), list(x), list(x), list(x)
     repeated[other] = x[c1]
     floated[c1] = float(x[c1])
     crossed[c1], crossed[other] = x[other], x[c1]
+    worded[c1] = str(x[c1])
     faults = [
         (replace(good, source=tuple(repeated)), "permutations"),
         (replace(good, source=tuple(floated), r1=float(good.r1)), "permutations"),
+        (replace(good, source=tuple(worded)), "permutations"),
+        (replace(good, target=(*good.target[:-1], None), c1=float(c1)), "permutations"),
         (replace(good, target=tuple(crossed)), "boundary defect"),
     ]
     table = from_rectangle(good).multiplicities

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +19,7 @@ from gridfloer import (
     serialize_grid,
     successor_permutation,
 )
-from gridfloer.grid import _split_grids
+from gridfloer.grid import _split_grids, _trace_link
 from gridfloer.errors import (
     GridSyntaxError,
     NotAPermutation,
@@ -35,8 +36,11 @@ from .helpers import (
     TWIST7,
     UNKNOT2,
     UNKNOT4,
+    d_squared_suite,
     oracle_components,
 )
+
+GRIDS_DIR = Path(__file__).resolve().parent.parent / "grids"
 
 
 def test_new_grid_accepts_known_diagrams():
@@ -195,6 +199,27 @@ def test_crossing_counts_on_known_diagrams():
     }
     for G, crossings in expected.items():
         assert link_summary(G).crossing_count == crossings
+
+
+def test_link_summary_is_traced_once_and_kept_on_the_grid():
+    corpus = parse_grids((GRIDS_DIR / "corpus.grids").read_text(encoding="utf-8"))
+    small, big = d_squared_suite()
+    for G in (*corpus, *small, *big):
+        fresh = GridDiagram(G.n, G.o_rows, G.x_rows)
+        assert link_summary(fresh) == _trace_link(fresh)
+        assert link_summary(fresh) is link_summary(fresh)
+        assert link_summary(G) == _trace_link(G)
+
+
+def test_a_grid_holding_its_summary_equals_and_hashes_like_a_fresh_one():
+    for G in KNOWN_GRIDS:
+        held = GridDiagram(G.n, G.o_rows, G.x_rows)
+        link_summary(held)
+        fresh = GridDiagram(G.n, G.o_rows, G.x_rows)
+        assert "link_summary" in vars(held) and "link_summary" not in vars(fresh)
+        assert held == fresh and hash(held) == hash(fresh)
+        assert {fresh: 1}[held] == 1
+        assert repr(held) == repr(fresh)
 
 
 def test_random_grid_is_deterministic_per_seed():
